@@ -2,8 +2,7 @@
 
 Exit codes: 0 when the command succeeds (and, for check-style commands, the
 property holds), 1 when a property fails or a witness is found, 2 on usage or
-input errors.  ``--json`` switches stdout to a stable JSON report; output is
-byte-identical for any ``--threads`` value.
+input errors.  ``--json`` switches stdout to a stable JSON report.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ def _fmt_subset(f: SetFunction, mask: int) -> str:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     f = _load(args.input)
-    report = classify(f, threads=args.threads)
+    report = classify(f)
     results = report.to_json(f, include_witnesses=args.witness)
     human = ["condition            holds"]
     for cond in ConditionId:
@@ -74,14 +73,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_minimize(args: argparse.Namespace) -> int:
     f = _load(args.input)
     if args.mode == "brute":
-        result = argmin(f, threads=args.threads)
+        result = argmin(f)
         human = [
             "minimizers: " + " ".join(_fmt_subset(f, m) for m in result.minimizers),
             f"min value: {result.min_value.display()}",
         ]
         return _emit(args, "minimize", {"input": args.input, "mode": "brute"}, result.to_json(f), 0, human)
     start = _subset_mask(f, args.start)
-    trace = interval_descent(f, start, threads=args.threads)
+    trace = interval_descent(f, start)
     human = ["descent trace:"]
     for m, v in trace.steps:
         human.append(f"  {_fmt_subset(f, m)}  value {v.display()}")
@@ -103,7 +102,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     f = _load(args.input)
     point = _subset_mask(f, args.point)
-    cert = certify_global_min(f, point, threads=args.threads)
+    cert = certify_global_min(f, point)
     status = 0 if cert.is_global else 1
     human = [
         f"point {_fmt_subset(f, point)}: value {f.value(point).display()}",
@@ -163,7 +162,7 @@ def cmd_constrained(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    result = run_suite(args.suite, args.n, threads=args.threads)
+    result = run_suite(args.suite, args.n)
     status = 0 if result.ok else 1
     human = [
         f"suite {result.suite} at n={result.n}:",
@@ -179,8 +178,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _parse_weight(text: str) -> int | Fraction:
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return int(text)
 
 
@@ -230,7 +231,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     predicate = parse_predicate(args.predicate)
-    found = search_witness(args.n, predicate, threads=args.threads)
+    found = search_witness(args.n, predicate)
     if found is None:
         print(f"no function at n={args.n} satisfies {predicate.source!r}", file=sys.stderr)
         return 1
@@ -241,8 +242,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
-    common.add_argument("--threads", type=int, default=1, metavar="K",
-                        help="worker threads for scans (output is identical for any K)")
     common.add_argument("--witness", action="store_true", help="include violation witnesses")
 
     parser = argparse.ArgumentParser(
@@ -313,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.func(args)
     except (ValueError, IndexError, OSError) as exc:

@@ -10,15 +10,27 @@ tested pairwise over X, Y against:
     Qh:  f(X) == f(Y)    implies  f(X∪Y) == f(X∩Y) == f(X),
                                   or f(X∪Y) < f(X), or f(X∩Y) < f(X)
 
-Quasisubmodular means Q1 and Q2 jointly.  The conditions are evaluated in
-their disjunctive forms (e.g. Q1 at a pair is "f(X) > f(X∩Y) or
-f(X∪Y) <= f(Y)"), so vacuous hypotheses count as satisfied.
+Quasisubmodular means Q1 and Q2 jointly.  Each condition is defined once, in
+``VIOLATES``, as the negation of its disjunctive form: a predicate on the
+four lattice values (vx, vy, vu, vi) = (f(X), f(Y), f(X∪Y), f(X∩Y)) written
+with comparisons, ``&`` and ``|`` only.  On Python values it decides one pair
+(``holds_at_pair``, ``ConditionWitness.reproduces``); on numpy arrays it
+decides a block of pairs.  Vacuous hypotheses count as satisfied.
 
-Pairs are scanned in lexicographic (X, Y) mask order and the first violation
-is reported as a witness, which makes witnesses deterministic.  Pairs where
-X and Y are comparable (one contains the other) can never violate any of the
-conditions above, so the scanners only visit incomparable pairs; the first
-violation is unchanged.
+Checks on a SetFunction run through the rank kernel (``kernel``).  The values
+are mapped once to dense int32 ranks, which is exact for every ordinal
+condition since they depend on order alone; ordinary submodularity uses the
+values as exact integers instead (rationals scaled by the LCM of their
+denominators).  The kernel scans blocks of rows X against every Y, in
+O(block + 2**n) memory, and evaluates all requested conditions in one pass.
+Comparable pairs can never violate a condition, so only incomparable pairs
+are examined.  The witness is the lexicographically first violating (X, Y)
+by mask, so witnesses are deterministic.  numpy is imported by the first
+such check, not by this module.
+
+The raw-vector scanners below (``condition_violation``, ``raw_flag``) serve
+the exhaustive suites and witness search at n <= ENUMERATION_CAP, where a
+Python loop over a short pair list costs less than a numpy call.
 """
 
 from __future__ import annotations
@@ -29,9 +41,10 @@ from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .core import OrdinalValue, RawKey, SetFunction
-from .parallel import min_over_chunks, split_ranges
 
 Pair = tuple[int, int, int, int]  # (X, Y, X|Y, X&Y)
+
+ENUMERATION_CAP = 3
 
 
 class ConditionId(enum.Enum):
@@ -57,42 +70,39 @@ PAIRWISE_CONDITIONS = (
 )
 
 
-@lru_cache(maxsize=None)
-def pair_table(n: int) -> tuple[Pair, ...]:
-    """All 4**n ordered pairs (X, Y, X|Y, X&Y) in lexicographic (X, Y) order."""
-    size = 1 << n
-    return tuple((x, y, x | y, x & y) for x in range(size) for y in range(size))
+# Violation predicates on (f(X), f(Y), f(X∪Y), f(X∩Y)).  The operands are
+# Python values or numpy arrays alike, so only comparisons, & and | appear;
+# Q4's max(vx, vy) < min(vu, vi) is spelled as four comparisons for that reason.
+VIOLATES: dict[ConditionId, Callable] = {
+    ConditionId.Q1: lambda vx, vy, vu, vi: (vx <= vi) & (vu > vy),
+    ConditionId.Q2: lambda vx, vy, vu, vi: (vx < vi) & (vu >= vy),
+    ConditionId.Q3: lambda vx, vy, vu, vi: (vx < vi) & (vu > vy),
+    ConditionId.Q4: lambda vx, vy, vu, vi: (vu > vx) & (vu > vy) & (vi > vx) & (vi > vy),
+    ConditionId.QH: lambda vx, vy, vu, vi: (vx == vy) & (vu >= vx) & (vi >= vx) & ((vu > vx) | (vi > vx)),
+    ConditionId.QUASI: lambda vx, vy, vu, vi: (vx <= vi) & (vu > vy) | (vx < vi) & (vu >= vy),
+    ConditionId.ORDINARY: lambda vx, vy, vu, vi: vx + vy < vu + vi,
+    ConditionId.INJECTIVE: lambda vx, vy, vu, vi: vx == vy,
+}
 
 
 @lru_cache(maxsize=None)
 def incomparable_pair_table(n: int) -> tuple[Pair, ...]:
-    """The pairs with X ⊄ Y and Y ⊄ X, in lexicographic order."""
-    return tuple(p for p in pair_table(n) if p[0] != p[3] and p[1] != p[3])
+    """The pairs (X, Y, X|Y, X&Y) with X ⊄ Y and Y ⊄ X, in lexicographic order.
+
+    Only for the raw-vector scanners, so only up to ENUMERATION_CAP.
+    """
+    if not 0 <= n <= ENUMERATION_CAP:
+        raise ValueError(f"raw pair lists are capped at n <= {ENUMERATION_CAP}, got {n}")
+    size = 1 << n
+    return tuple(
+        (x, y, x | y, x & y) for x in range(size) for y in range(size) if x & y not in (x, y)
+    )
 
 
-def holds_at_pair_raw(cond: ConditionId, vx: RawKey, vy: RawKey, vu: RawKey, vi: RawKey) -> bool:
-    """Evaluate one condition at a single pair, given the four lattice values."""
-    if cond is ConditionId.Q1:
-        return vx > vi or vu <= vy
-    if cond is ConditionId.Q2:
-        return vx >= vi or vu < vy
-    if cond is ConditionId.Q3:
-        return vx >= vi or vu <= vy
-    if cond is ConditionId.Q4:
-        return max(vx, vy) >= min(vu, vi)
-    if cond is ConditionId.QH:
-        return vx != vy or (vu == vx and vi == vx) or vu < vx or vi < vx
-    if cond is ConditionId.ORDINARY:
-        return vx + vy >= vu + vi
-    if cond is ConditionId.INJECTIVE:
-        return vx != vy
-    raise ValueError(f"{cond} has no pairwise form")
-
-
-# Violation scanners over raw value tables.  Each returns the first failing
-# pair (X, Y, X|Y, X&Y) in the given pair sequence, or None.  Kept as separate
-# tight loops; these run hundreds of thousands of times in the exhaustive
-# suites.
+# Violation scanners over raw value tables, for n <= ENUMERATION_CAP.  Each
+# returns the first failing pair (X, Y, X|Y, X&Y) in the given pair sequence,
+# or None.  Kept as separate tight loops; these run hundreds of thousands of
+# times in the exhaustive suites.
 
 def _q1_violation(vals: Sequence[RawKey], pairs: Sequence[Pair]) -> Pair | None:
     for p in pairs:
@@ -203,9 +213,7 @@ class ConditionWitness:
 
     def reproduces(self) -> bool:
         """Re-evaluate the defining comparison on the stored values."""
-        return not holds_at_pair_raw(
-            self.condition, self.v_x.key, self.v_y.key, self.v_union.key, self.v_inter.key
-        )
+        return VIOLATES[self.condition](self.v_x.key, self.v_y.key, self.v_union.key, self.v_inter.key)
 
     def to_json(self, f: SetFunction) -> dict:
         enc = f.codomain.json_encode
@@ -222,90 +230,82 @@ def _make_witness(f: SetFunction, cond: ConditionId, pair: Pair) -> ConditionWit
     return ConditionWitness(cond, x, y, f.value(x), f.value(y), f.value(u), f.value(i))
 
 
+def _violates(f: SetFunction, cond: ConditionId, x: int, y: int) -> bool:
+    vals = f.values
+    return VIOLATES[cond](vals[x], vals[y], vals[x | y], vals[x & y])
+
+
 def holds_at_pair(f: SetFunction, cond: ConditionId, x: int, y: int) -> bool:
     """Evaluate one condition at the single pair (X, Y)."""
     f.ground.check_mask(x)
     f.ground.check_mask(y)
-    if cond is ConditionId.QUASI:
-        return holds_at_pair(f, ConditionId.Q1, x, y) and holds_at_pair(f, ConditionId.Q2, x, y)
-    vals = f.values
-    return holds_at_pair_raw(cond, vals[x], vals[y], vals[x | y], vals[x & y])
+    return not _violates(f, cond, x, y)
 
 
-def _scan_parallel(
-    scan: Callable[[Sequence[Pair]], tuple[Pair, ConditionId] | None],
-    pairs: Sequence[Pair],
-    threads: int,
-) -> tuple[Pair, ConditionId] | None:
-    """Run a chunked pair scan; the reported hit is the global lexicographic minimum."""
-    if threads <= 1 or len(pairs) < 2:
-        return scan(pairs)
-    chunks = [pairs[lo:hi] for lo, hi in split_ranges(len(pairs), threads)]
-    hits = min_over_chunks(scan, chunks, threads, key=lambda h: (h[0][0], h[0][1]))
-    return hits
+def _first_witnesses(f: SetFunction, conds: Sequence[ConditionId]) -> dict[ConditionId, ConditionWitness]:
+    """The first witness of each failing condition in conds, in the order of conds.
+
+    The ordinal conditions share one kernel pass over the ranks.  A
+    QuasiSubmodular witness is tagged Q2 when its pair fails Q2, else Q1.
+    """
+    from . import kernel
+
+    ordinal = {c: VIOLATES[c] for c in conds if c is not ConditionId.ORDINARY}
+    hits = kernel.first_violations(f.n, kernel.dense_ranks(f.values), ordinal) if ordinal else {}
+    if ConditionId.ORDINARY in conds:
+        ordinary = {ConditionId.ORDINARY: VIOLATES[ConditionId.ORDINARY]}
+        hits.update(kernel.first_violations(f.n, kernel.exact_ints(f.values), ordinary))
+    out = {}
+    for cond in conds:
+        if cond in hits:
+            x, y = hits[cond]
+            tag = cond
+            if cond is ConditionId.QUASI:
+                tag = ConditionId.Q2 if _violates(f, ConditionId.Q2, x, y) else ConditionId.Q1
+            out[cond] = _make_witness(f, tag, (x, y, x | y, x & y))
+    return out
 
 
-def check_condition(f: SetFunction, cond: ConditionId, threads: int = 1) -> ConditionWitness | None:
+def check_condition(f: SetFunction, cond: ConditionId) -> ConditionWitness | None:
     """None if the condition holds for all pairs; otherwise the first witness.
 
     Accepts Q1..Q4, Qh and QuasiSubmodular.  The witness is lexicographically
-    minimal by (X, Y) and identical regardless of ``threads``.
+    minimal by (X, Y).
     """
     if cond not in PAIRWISE_CONDITIONS and cond is not ConditionId.QUASI:
         raise ValueError(f"check_condition does not handle {cond}; see is_ordinary_submodular / is_injective")
-    vals = f.values
-    pairs = incomparable_pair_table(f.n)
-    if cond is ConditionId.QUASI:
-        hit = _scan_parallel(lambda ps: _quasi_violation(vals, ps), pairs, threads)
-    else:
-        scanner = _VIOLATION_SCANNERS[cond]
-
-        def scan(ps: Sequence[Pair]) -> tuple[Pair, ConditionId] | None:
-            p = scanner(vals, ps)
-            return None if p is None else (p, cond)
-
-        hit = _scan_parallel(scan, pairs, threads)
-    if hit is None:
-        return None
-    pair, failed = hit
-    return _make_witness(f, failed, pair)
+    return _first_witnesses(f, (cond,)).get(cond)
 
 
 def iter_witnesses(f: SetFunction, cond: ConditionId) -> Iterator[ConditionWitness]:
-    """Every violating pair in lexicographic order (the full-witness-list mode)."""
-    if cond is ConditionId.QUASI:
-        for x, y, u, i in incomparable_pair_table(f.n):
-            for sub in (ConditionId.Q1, ConditionId.Q2):
-                if not holds_at_pair_raw(sub, f.values[x], f.values[y], f.values[u], f.values[i]):
-                    yield _make_witness(f, sub, (x, y, u, i))
-                    break
-        return
-    scanner = _VIOLATION_SCANNERS[cond]
-    for p in incomparable_pair_table(f.n):
-        if scanner(f.values, (p,)) is not None:
-            yield _make_witness(f, cond, p)
+    """Every violating pair in lexicographic order (the full-witness-list mode).
+
+    Here a QuasiSubmodular witness is tagged Q1 when its pair fails Q1, else Q2.
+    """
+    from . import kernel
+
+    if cond is ConditionId.INJECTIVE:
+        raise ValueError("injectivity also concerns comparable pairs; see injective_witness")
+    vals = kernel.exact_ints(f.values) if cond is ConditionId.ORDINARY else kernel.dense_ranks(f.values)
+    for x, y in kernel.all_violations(f.n, vals, VIOLATES[cond]):
+        tag = cond
+        if cond is ConditionId.QUASI:
+            tag = ConditionId.Q1 if _violates(f, ConditionId.Q1, x, y) else ConditionId.Q2
+        yield _make_witness(f, tag, (x, y, x | y, x & y))
 
 
-def check_ordinary_submodular(f: SetFunction, threads: int = 1) -> ConditionWitness | None:
+def check_ordinary_submodular(f: SetFunction) -> ConditionWitness | None:
     """None iff f(X) + f(Y) >= f(X∪Y) + f(X∩Y) for all pairs (exact arithmetic).
 
     Only defined for numeric codomains; labels have no additive structure.
     """
     if not f.codomain.is_numeric:
         raise ValueError("ordinary submodularity needs a numeric codomain (integer or rational)")
-    vals = f.values
-    pairs = incomparable_pair_table(f.n)
-
-    def scan(ps: Sequence[Pair]) -> tuple[Pair, ConditionId] | None:
-        p = _ordinary_violation(vals, ps)
-        return None if p is None else (p, ConditionId.ORDINARY)
-
-    hit = _scan_parallel(scan, pairs, threads)
-    return None if hit is None else _make_witness(f, ConditionId.ORDINARY, hit[0])
+    return _first_witnesses(f, (ConditionId.ORDINARY,)).get(ConditionId.ORDINARY)
 
 
-def is_ordinary_submodular(f: SetFunction, threads: int = 1) -> bool:
-    return check_ordinary_submodular(f, threads=threads) is None
+def is_ordinary_submodular(f: SetFunction) -> bool:
+    return check_ordinary_submodular(f) is None
 
 
 def injective_witness(f: SetFunction) -> ConditionWitness | None:
@@ -388,22 +388,14 @@ class ClassReport:
         return out
 
 
-def classify(f: SetFunction, threads: int = 1) -> ClassReport:
+def classify(f: SetFunction) -> ClassReport:
     """Evaluate every condition on f and collect first witnesses for failures."""
-    flags: dict[ConditionId, bool | None] = {}
-    witnesses: dict[ConditionId, ConditionWitness] = {}
-    for cond in PAIRWISE_CONDITIONS + (ConditionId.QUASI,):
-        w = check_condition(f, cond, threads=threads)
-        flags[cond] = w is None
-        if w is not None:
-            witnesses[cond] = w
+    conds = PAIRWISE_CONDITIONS + (ConditionId.QUASI,)
     if f.codomain.is_numeric:
-        w = check_ordinary_submodular(f, threads=threads)
-        flags[ConditionId.ORDINARY] = w is None
-        if w is not None:
-            witnesses[ConditionId.ORDINARY] = w
-    else:
-        flags[ConditionId.ORDINARY] = None
+        conds += (ConditionId.ORDINARY,)
+    witnesses = _first_witnesses(f, conds)
+    flags: dict[ConditionId, bool | None] = {c: c not in witnesses for c in conds}
+    flags.setdefault(ConditionId.ORDINARY, None)
     w = injective_witness(f)
     flags[ConditionId.INJECTIVE] = w is None
     if w is not None:
@@ -414,14 +406,12 @@ def classify(f: SetFunction, threads: int = 1) -> ClassReport:
 def pairwise_q3_equivalence(f: SetFunction) -> bool:
     """Diagnostic: [every pair satisfies Q1 or Q2] ⟺ [Q3 holds everywhere].
 
-    The two predicates are equivalent for every set function; this recomputes
-    both sides independently and reports whether they agree.
+    The two predicates are equivalent for every set function; this evaluates
+    both sides independently, in one kernel pass, and reports whether they agree.
     """
-    vals = f.values
-    lhs = all(
-        holds_at_pair_raw(ConditionId.Q1, vals[x], vals[y], vals[u], vals[i])
-        or holds_at_pair_raw(ConditionId.Q2, vals[x], vals[y], vals[u], vals[i])
-        for x, y, u, i in pair_table(f.n)
-    )
-    rhs = check_condition(f, ConditionId.Q3) is None
-    return lhs == rhs
+    from . import kernel
+
+    q1, q2 = VIOLATES[ConditionId.Q1], VIOLATES[ConditionId.Q2]
+    sides = {"Q1 and Q2": lambda *v: q1(*v) & q2(*v), "Q3": VIOLATES[ConditionId.Q3]}
+    hits = kernel.first_violations(f.n, kernel.dense_ranks(f.values), sides)
+    return ("Q1 and Q2" in hits) == ("Q3" in hits)

@@ -17,12 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .conditions import ConditionId, raw_flag
+from .conditions import ENUMERATION_CAP, ConditionId, raw_flag
 from .core import INTEGERS, GroundSet, OrderedCodomain, RawKey, SetFunction, default_elements
-from .parallel import map_chunks
-
-ENUMERATION_CAP = 3
-SEARCH_BATCH = 2048
 
 
 def surjective_rank_vectors(m: int) -> Iterator[tuple[int, ...]]:
@@ -223,6 +219,11 @@ _ALIASES = {
 
 _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|[&|!()])")
 
+# Bound on nested ! and parentheses, so that parsing and evaluation stay far
+# below Python's recursion limit.  A chain of & or | is built as a balanced
+# tree, so its depth grows only as the log of its length.
+MAX_PREDICATE_NESTING = 100
+
 
 @dataclass(frozen=True)
 class ClassPredicate:
@@ -274,6 +275,7 @@ def parse_predicate(text: str) -> ClassPredicate:
         pos = m.end()
     tokens.append("$")
     idx = 0
+    depth = 0
 
     def peek() -> str:
         return tokens[idx]
@@ -284,30 +286,44 @@ def parse_predicate(text: str) -> ClassPredicate:
         idx += 1
         return t
 
-    def parse_or() -> tuple:
-        node = parse_and()
-        while peek() == "|":
-            take()
-            node = ("or", node, parse_and())
+    def nested(parse: Callable[[], tuple]) -> tuple:
+        nonlocal depth
+        depth += 1
+        if depth > MAX_PREDICATE_NESTING:
+            raise ValueError(f"predicate nests too deeply (more than {MAX_PREDICATE_NESTING} levels of ! and parentheses)")
+        node = parse()
+        depth -= 1
         return node
 
-    def parse_and() -> tuple:
-        node = parse_not()
-        while peek() == "&":
+    def balanced(op: str, nodes: list[tuple]) -> tuple:
+        if len(nodes) == 1:
+            return nodes[0]
+        mid = len(nodes) // 2
+        return (op, balanced(op, nodes[:mid]), balanced(op, nodes[mid:]))
+
+    def parse_chain(op: str, token: str, parse_operand: Callable[[], tuple]) -> tuple:
+        nodes = [parse_operand()]
+        while peek() == token:
             take()
-            node = ("and", node, parse_not())
-        return node
+            nodes.append(parse_operand())
+        return balanced(op, nodes)
+
+    def parse_or() -> tuple:
+        return parse_chain("or", "|", parse_and)
+
+    def parse_and() -> tuple:
+        return parse_chain("and", "&", parse_not)
 
     def parse_not() -> tuple:
         if peek() == "!":
             take()
-            return ("not", parse_not())
+            return ("not", nested(parse_not))
         return parse_atom()
 
     def parse_atom() -> tuple:
         t = take()
         if t == "(":
-            node = parse_or()
+            node = nested(parse_or)
             if take() != ")":
                 raise ValueError(f"unbalanced parentheses in predicate {source!r}")
             return node
@@ -333,38 +349,17 @@ def _vector_matches(vec: tuple[int, ...], n: int, predicate: ClassPredicate) -> 
     return predicate.evaluate(lookup)
 
 
-def search_witness(
-    n: int,
-    predicate: ClassPredicate | str,
-    threads: int = 1,
-) -> SetFunction | None:
+def search_witness(n: int, predicate: ClassPredicate | str) -> SetFunction | None:
     """First enumerated weak order whose classification satisfies the predicate.
 
-    Functions are scanned in enumeration (lexicographic rank vector) order;
-    the first match wins regardless of thread count.  None means the whole
-    stream was exhausted without a match.
+    Functions are scanned in enumeration (lexicographic rank vector) order
+    and the first match wins.  None means the whole stream was exhausted
+    without a match.
     """
     _check_cap(n)
     if isinstance(predicate, str):
         predicate = parse_predicate(predicate)
-    stream = surjective_rank_vectors(1 << n)
-
-    def scan_batch(batch: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-        for vec in batch:
-            if _vector_matches(vec, n, predicate):
-                return vec
-        return None
-
-    while True:
-        group = [
-            batch
-            for batch in (
-                list(itertools.islice(stream, SEARCH_BATCH)) for _ in range(max(1, threads))
-            )
-            if batch
-        ]
-        if not group:
-            return None
-        for hit in map_chunks(scan_batch, group, threads):
-            if hit is not None:
-                return _as_function(n, hit)
+    for vec in surjective_rank_vectors(1 << n):
+        if _vector_matches(vec, n, predicate):
+            return _as_function(n, vec)
+    return None

@@ -24,7 +24,6 @@ from typing import Sequence
 
 from .conditions import ConditionId, check_condition, is_injective
 from .core import IntervalSublattice, OrdinalValue, RawKey, SetFunction
-from .parallel import map_chunks, min_over_chunks, split_ranges
 
 HYPOTHESIS_TAGS = ("Q1", "Q2", "Q4+injective")
 
@@ -170,28 +169,11 @@ def raw_min_over(vals: Sequence[RawKey], masks: Sequence[int]) -> tuple[RawKey, 
     return best
 
 
-def argmin(f: SetFunction, threads: int = 1) -> ArgminSet:
+def argmin(f: SetFunction) -> ArgminSet:
     """Exhaustive global argmin: every minimizer, ascending mask, exact."""
     vals = f.values
-
-    def scan(rng: tuple[int, int]) -> tuple[RawKey, list[int]]:
-        lo, hi = rng
-        best = vals[lo]
-        mins = [lo]
-        for m in range(lo + 1, hi):
-            v = vals[m]
-            if v < best:
-                best = v
-                mins = [m]
-            elif v == best:
-                mins.append(m)
-        return (best, mins)
-
-    ranges = split_ranges(f.size, max(1, threads))
-    parts = map_chunks(scan, ranges, threads)
-    best = min(p[0] for p in parts)
-    minimizers = tuple(m for v, ms in parts for m in ms if v == best)
-    return ArgminSet(minimizers, OrdinalValue(f.codomain, best))
+    best = min(vals)
+    return ArgminSet(tuple(m for m, v in enumerate(vals) if v == best), OrdinalValue(f.codomain, best))
 
 
 def is_lower_interval_min(f: SetFunction, x: int) -> bool:
@@ -229,7 +211,6 @@ def certify_global_min(
     f: SetFunction,
     x: int,
     assume: str | None = None,
-    threads: int = 1,
 ) -> MinimalityCertificate:
     """Check interval-local minimality at X and the strongest applicable hypothesis.
 
@@ -254,11 +235,11 @@ def certify_global_min(
             x, lower, upper, assume, True, False, "hypothesis asserted, unverified"
         )
     hypothesis = None
-    if check_condition(f, ConditionId.Q1, threads=threads) is None:
+    if check_condition(f, ConditionId.Q1) is None:
         hypothesis = "Q1"
-    elif check_condition(f, ConditionId.Q2, threads=threads) is None:
+    elif check_condition(f, ConditionId.Q2) is None:
         hypothesis = "Q2"
-    elif check_condition(f, ConditionId.Q4, threads=threads) is None and is_injective(f):
+    elif check_condition(f, ConditionId.Q4) is None and is_injective(f):
         hypothesis = "Q4+injective"
     if hypothesis is None:
         return MinimalityCertificate(
@@ -271,7 +252,7 @@ def certify_global_min(
     )
 
 
-def interval_descent(f: SetFunction, start: int, threads: int = 1) -> DescentTrace:
+def interval_descent(f: SetFunction, start: int) -> DescentTrace:
     """Iterated interval improvement from ``start``.
 
     Each step minimizes f over [∅, X] ∪ [X, E]; if the current point attains
@@ -286,18 +267,12 @@ def interval_descent(f: SetFunction, start: int, threads: int = 1) -> DescentTra
     steps = [(x, f.value(x))]
     while True:
         masks = lower_interval_masks(x) + upper_interval_masks(x, f.n)
-        if threads <= 1:
-            best_v, best_m = raw_min_over(vals, masks)
-        else:
-            chunks = [masks[lo:hi] for lo, hi in split_ranges(len(masks), threads)]
-            best_v, best_m = min_over_chunks(
-                lambda ms: raw_min_over(vals, ms), chunks, threads, key=lambda r: r
-            )
+        best_v, best_m = raw_min_over(vals, masks)
         if not best_v < vals[x]:
             break
         x = best_m
         steps.append((x, f.value(x)))
-    return DescentTrace(tuple(steps), certify_global_min(f, x, threads=threads))
+    return DescentTrace(tuple(steps), certify_global_min(f, x))
 
 
 def argmin_lattice_closure(f: SetFunction) -> bool:

@@ -20,11 +20,11 @@ Suites (names are the CLI tokens):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .conditions import (
+    VIOLATES,
     ConditionId,
     _q1_violation,
     _q2_violation,
@@ -32,17 +32,12 @@ from .conditions import (
     _q4_violation,
     _qh_violation,
     _quasi_violation,
-    holds_at_pair_raw,
     incomparable_pair_table,
 )
-from .generators import injective_rank_vectors, surjective_rank_vectors
+from .generators import ENUMERATION_CAP, injective_rank_vectors, surjective_rank_vectors
 from .minimize import raw_is_lower_min, raw_interval_local_min, upper_interval_masks
-from .parallel import map_chunks
 
 SUITE_NAMES = ("lemma1", "lemma1a", "theorem1", "theorem2", "duality", "remark2", "remark5", "qh")
-
-ENUMERATION_CAP = 3
-_BATCH = 4096
 
 Vector = tuple[int, ...]
 # A check maps one rank vector to (hypothesis applies, violation description or None).
@@ -164,11 +159,11 @@ def _check_duality(n: int) -> Check:
 
 def _check_remark2(n: int) -> Check:
     pairs = incomparable_pair_table(n)
+    q1, q2 = VIOLATES[ConditionId.Q1], VIOLATES[ConditionId.Q2]
 
     def check(vec: Vector) -> tuple[bool, str | None]:
-        pointwise = all(
-            holds_at_pair_raw(ConditionId.Q1, vec[x], vec[y], vec[u], vec[i])
-            or holds_at_pair_raw(ConditionId.Q2, vec[x], vec[y], vec[u], vec[i])
+        pointwise = not any(
+            q1(vec[x], vec[y], vec[u], vec[i]) and q2(vec[x], vec[y], vec[u], vec[i])
             for x, y, u, i in pairs
         )
         q3 = _q3_violation(vec, pairs) is None
@@ -223,55 +218,19 @@ _SUITE_CHECKS: dict[str, Callable[[int], Check]] = {
 }
 
 
-def _scan(
-    vectors: Iterable[Vector],
-    check: Check,
-    threads: int,
-) -> tuple[int, int, int, str | None]:
+def _scan(vectors: Iterable[Vector], check: Check) -> tuple[int, int, int, str | None]:
     scanned = hyp = viol = 0
     first: str | None = None
-
-    def scan_batch(batch: Sequence[Vector]) -> tuple[int, int, int, str | None]:
-        s = h = v = 0
-        f: str | None = None
-        for vec in batch:
-            s += 1
-            applies, detail = check(vec)
-            if applies:
-                h += 1
-            if detail is not None:
-                v += 1
-                if f is None:
-                    f = detail
-        return s, h, v, f
-
-    if threads <= 1:
-        for vec in vectors:
-            scanned += 1
-            applies, detail = check(vec)
-            if applies:
-                hyp += 1
-            if detail is not None:
-                viol += 1
-                if first is None:
-                    first = detail
-        return scanned, hyp, viol, first
-
-    stream = iter(vectors)
-    while True:
-        group = [
-            batch
-            for batch in (list(itertools.islice(stream, _BATCH)) for _ in range(threads))
-            if batch
-        ]
-        if not group:
-            return scanned, hyp, viol, first
-        for s, h, v, f in map_chunks(scan_batch, group, threads):
-            scanned += s
-            hyp += h
-            viol += v
-            if first is None and f is not None:
-                first = f
+    for vec in vectors:
+        scanned += 1
+        applies, detail = check(vec)
+        if applies:
+            hyp += 1
+        if detail is not None:
+            viol += 1
+            if first is None:
+                first = detail
+    return scanned, hyp, viol, first
 
 
 def suite_vectors(suite: str, n: int) -> Iterator[Vector]:
@@ -280,12 +239,12 @@ def suite_vectors(suite: str, n: int) -> Iterator[Vector]:
     return surjective_rank_vectors(1 << n)
 
 
-def run_suite(suite: str, n: int, threads: int = 1) -> SuiteResult:
+def run_suite(suite: str, n: int) -> SuiteResult:
     """Run one named suite exhaustively at the given n (capped at 3)."""
     if suite not in _SUITE_CHECKS:
         raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITE_NAMES)}")
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"suites run at 1 <= n <= {ENUMERATION_CAP}, got {n}")
     check = _SUITE_CHECKS[suite](n)
-    scanned, hyp, viol, first = _scan(suite_vectors(suite, n), check, threads)
+    scanned, hyp, viol, first = _scan(suite_vectors(suite, n), check)
     return SuiteResult(suite, n, scanned, hyp, viol, first)

@@ -34,6 +34,7 @@ from ordsub import (
     search_witness,
     set_function_to_json,
 )
+from ordsub import kernel
 
 from conftest import intfn, run_cli
 
@@ -323,7 +324,9 @@ def test_c12_hierarchy_round_trip():
            ok and accepted >= 100, f"{accepted} accepted of {tried} sampled")
 
 
-def test_c13_cli_determinism_across_threads(tmp_path):
+def test_c13_cli_determinism_across_threads(tmp_path, monkeypatch):
+    # the set-function scans once split across --threads workers now split
+    # into row blocks; the finest split (one row per block) must not change output
     f = intfn([1, 0, 2, 3])
     path = tmp_path / "r3.json"
     path.write_text(json.dumps(set_function_to_json(f)))
@@ -337,15 +340,9 @@ def test_c13_cli_determinism_across_threads(tmp_path):
         ("search", "--n", "2", "--predicate", "Q4&!Q3"),
         ("hierarchy", str(path), "--json"),
     ]
-    ok = True
-    bad = []
-    for cmd in commands:
-        outs = set()
-        for k in ("1", "8"):
-            code, out, _ = run_cli(*cmd, "--threads", k)
-            outs.add((code, out))
-        if len(outs) != 1:
-            ok = False
-            bad.append(cmd[0])
-    report(13, "witness-producing and descent commands are bit-identical across --threads", ok,
-           "differs: " + ", ".join(bad) if bad else f"{len(commands)} commands x threads 1 vs 8")
+    default = [run_cli(*cmd)[:2] for cmd in commands]
+    monkeypatch.setattr(kernel, "FIRST_BLOCK", 1)
+    monkeypatch.setattr(kernel, "BLOCK", 1)
+    bad = [cmd[0] for cmd, want in zip(commands, default) if run_cli(*cmd)[:2] != want]
+    report(13, "witness-producing and descent commands are bit-identical across scan splits", not bad,
+           "differs: " + ", ".join(bad) if bad else f"{len(commands)} commands x default vs one-row blocks")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ordsub import parse_set_function, set_function_to_json
+from ordsub import kernel, parse_set_function, set_function_to_json
 
 from conftest import intfn, run_cli
 
@@ -204,9 +204,32 @@ class TestGenerateAndSearch:
         assert code == 2
         assert "bad edge" in err
 
+    def test_zero_denominator_edge_weight(self):
+        code, out, err = run_cli("generate", "cut", "--n", "2", "--edges", "0-1:1/0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_zero_denominator_modular_weight(self):
+        code, out, err = run_cli("generate", "modular", "--n", "2", "--weights", "1/0,1", "--concave", "0,0,0")
+        assert (code, out) == (2, "")
+        assert err == "error: zero denominator in '1/0'\n"
+
+    @pytest.mark.parametrize("predicate", ["!" * 5000 + "Q1", "(" * 3000 + "Q1" + ")" * 3000])
+    def test_deeply_nested_predicate(self, predicate):
+        code, out, err = run_cli("search", "--n", "2", "--predicate", predicate)
+        assert (code, out) == (2, "")
+        assert "predicate nests too deeply" in err and err.count("\n") == 1
+
+    def test_long_flat_predicate_chain(self):
+        # a chain of & is built as a balanced tree, so it evaluates without deep recursion
+        code, out, _ = run_cli("search", "--n", "2", "--predicate", " & ".join(["Q4"] * 3000) + " & !Q3")
+        assert code == 0 and out
+
 
 class TestDeterminismAcrossThreads:
-    def test_outputs_bit_identical(self, r3_file):
+    def test_outputs_bit_identical(self, monkeypatch, r3_file):
+        # the scans once split across --threads workers now split into row
+        # blocks; one row per block must not change a byte of output
         commands = [
             ("classify", r3_file, "--json", "--witness"),
             ("minimize", r3_file, "--mode", "descent", "--start", "b", "--json"),
@@ -214,12 +237,11 @@ class TestDeterminismAcrossThreads:
             ("verify", "--suite", "lemma1", "--n", "2", "--json"),
             ("search", "--n", "2", "--predicate", "Q2&!Q1"),
         ]
-        for cmd in commands:
-            runs = {}
-            for k in ("1", "8"):
-                code, out, _ = run_cli(*cmd, "--threads", k)
-                runs[k] = (code, out)
-            assert runs["1"] == runs["8"], f"output differs across threads for {cmd}"
+        want = [run_cli(*cmd)[:2] for cmd in commands]
+        monkeypatch.setattr(kernel, "FIRST_BLOCK", 1)
+        monkeypatch.setattr(kernel, "BLOCK", 1)
+        for cmd, runs in zip(commands, want):
+            assert run_cli(*cmd)[:2] == runs, f"output differs across scan splits for {cmd}"
 
     def test_json_schema_stable_across_runs(self, r3_file):
         a = run_cli("classify", r3_file, "--json")

@@ -5,7 +5,13 @@ full 4**n pair table, while the library scans disjunctive forms over
 incomparable pairs only; the two must agree everywhere.
 """
 
+import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,15 +24,26 @@ from ordsub import (
     check_condition,
     check_ordinary_submodular,
     classify,
+    cut_function,
     enumerate_weak_orders,
     holds_at_pair,
     is_injective,
     is_ordinary_submodular,
     iter_witnesses,
+    modular_plus_concave,
     pairwise_q3_equivalence,
     random_function,
+    set_function_to_json,
 )
-from ordsub.conditions import ClassReport, injective_witness
+from ordsub import kernel
+from ordsub.conditions import (
+    _VIOLATION_SCANNERS,
+    ClassReport,
+    _quasi_violation,
+    incomparable_pair_table,
+    injective_witness,
+)
+from ordsub.generators import surjective_rank_vectors
 
 from conftest import intfn
 
@@ -136,10 +153,15 @@ class TestCheckCondition:
         runs = [check_condition(f_r3, ConditionId.Q3) for _ in range(3)]
         assert all(w == runs[0] for w in runs)
 
-    def test_threads_identical(self, f_r3, f_q1nq2):
-        for f in (f_r3, f_q1nq2):
-            for cond in PAIRWISE + [ConditionId.QUASI]:
-                assert check_condition(f, cond) == check_condition(f, cond, threads=4)
+    def test_threads_identical(self, monkeypatch, f_r3, f_q1nq2):
+        # the scan was once split across worker threads and is now split into
+        # row blocks; no split may move a witness
+        fs = (f_r3, f_q1nq2, random_function(6, distinct_values=4, seed=5))
+        conds = PAIRWISE + [ConditionId.QUASI]
+        want = [[check_condition(f, c) for c in conds] for f in fs]
+        monkeypatch.setattr(kernel, "FIRST_BLOCK", 1)
+        monkeypatch.setattr(kernel, "BLOCK", 1)
+        assert [[check_condition(f, c) for c in conds] for f in fs] == want
 
     def test_witness_reproduces(self):
         for f in enumerate_weak_orders(2):
@@ -177,6 +199,10 @@ class TestIterWitnesses:
 
     def test_ok_function_has_none(self, f_cut):
         assert list(iter_witnesses(f_cut, ConditionId.Q1)) == []
+
+    def test_rejects_injective(self, f_cut):
+        with pytest.raises(ValueError):
+            list(iter_witnesses(f_cut, ConditionId.INJECTIVE))
 
 
 class TestOrdinarySubmodular:
@@ -276,15 +302,20 @@ class TestClassify:
         r = classify(f_r3)
         assert set(r.witnesses) == {c for c, v in r.flags.items() if v is False}
 
+    def test_threads_identical(self, monkeypatch, f_r3):
+        # one row per block, the finest split of the scan
+        fs = (f_r3, random_function(6, distinct_values=4, seed=5))
+        want = [(classify(f).flags, classify(f).witnesses) for f in fs]
+        monkeypatch.setattr(kernel, "FIRST_BLOCK", 1)
+        monkeypatch.setattr(kernel, "BLOCK", 1)
+        assert [(classify(f).flags, classify(f).witnesses) for f in fs] == want
+
     def test_report_json(self, f_r3):
         out = classify(f_r3).to_json(f_r3, include_witnesses=True)
         assert out["Q4"] is True and out["Q3"] is False
         assert out["witnesses"]["Q3"] == {
             "condition": "Q3", "X": "a", "Y": "b", "values": [0, 2, 3, 1],
         }
-
-    def test_threads_identical(self, f_r3):
-        assert classify(f_r3).flags == classify(f_r3, threads=4).flags
 
 
 class TestPairwiseQ3Equivalence:
@@ -339,8 +370,6 @@ class TestImplicationLatticeExhaustive:
             _quasi_violation,
             incomparable_pair_table,
         )
-        from ordsub.generators import surjective_rank_vectors
-
         pairs = incomparable_pair_table(3)
         count = 0
         for vec in surjective_rank_vectors(8):
@@ -391,3 +420,191 @@ class TestRestrictPreservesClasses:
         for seed in range(150):
             f = random_function(3, distinct_values=(seed % 8) + 1, seed=seed)
             self.check_function(f, boxes)
+
+
+# Kernel parity: the numpy rank kernel against the raw scalar scanners, which
+# walk the incomparable pairs one at a time in lexicographic order.
+
+def lazy_incomparable_pairs(n):
+    size = 1 << n
+    for x in range(size):
+        for y in range(size):
+            if x & y not in (x, y):
+                yield (x, y, x | y, x & y)
+
+
+def scalar_first_hit(cond, vals, n):
+    """First (X, Y) and reported condition from the raw scanners, or None."""
+    pairs = incomparable_pair_table(n) if n <= 3 else lazy_incomparable_pairs(n)
+    if cond is ConditionId.QUASI:
+        hit = _quasi_violation(vals, pairs)
+        return None if hit is None else (hit[0][:2], hit[1])
+    pair = _VIOLATION_SCANNERS[cond](vals, pairs)
+    return None if pair is None else (pair[:2], cond)
+
+
+def diamond_submodular(f):
+    """f(S+i) + f(S+j) >= f(S+i+j) + f(S) for all S, i, j: local, so exact for ordinary submodularity."""
+    v = f.values
+    for s in range(f.size):
+        free = [1 << k for k in range(f.n) if not s >> k & 1]
+        for a in range(len(free)):
+            for b in range(a + 1, len(free)):
+                i, j = free[a], free[b]
+                if v[s | i] + v[s | j] < v[s | i | j] + v[s]:
+                    return False
+    return True
+
+
+ORDINAL_CHECKS = PAIRWISE + [ConditionId.QUASI]
+
+
+def kernel_hits(f):
+    """classify's first witness per condition, as ((X, Y), reported condition) or None."""
+    report = classify(f)
+    conds = ORDINAL_CHECKS + ([ConditionId.ORDINARY] if f.codomain.is_numeric else [])
+    return {
+        c: None if c not in report.witnesses else ((report.witnesses[c].x, report.witnesses[c].y),
+                                                    report.witnesses[c].condition)
+        for c in conds
+    }
+
+
+def assert_matches_scanners(f):
+    for cond, got in kernel_hits(f).items():
+        assert got == scalar_first_hit(cond, f.values, f.n), (f.values, cond)
+
+
+class TestKernelParity:
+    def test_weak_orders_n_le_2(self):
+        for n in (1, 2):
+            for f in enumerate_weak_orders(n):
+                assert_matches_scanners(f)
+
+    def test_every_50th_weak_order_n3(self):
+        for k, vec in enumerate(surjective_rank_vectors(8)):
+            if k % 50 == 0:
+                assert_matches_scanners(intfn(vec))
+
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_seeded_random(self, n):
+        kinds = [
+            OrderedCodomain("integer"),
+            OrderedCodomain("rational"),
+            OrderedCodomain("labels", ("lo", "mid", "hi", "top")),
+        ]
+        for seed in range(3):
+            for cod in kinds:
+                d = (2, 3, 4)[seed] if cod.kind == "labels" else (2, 3, 16)[seed]
+                assert_matches_scanners(random_function(n, cod, d, seed=100 * n + seed))
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_submodular_families_small(self, n):
+        g = [Fraction(-k * k, 3) for k in range(n + 1)]
+        for f in (
+            modular_plus_concave(n, list(range(1, n + 1)), [0] * (n + 1)),
+            modular_plus_concave(n, [(-1) ** k * k for k in range(n)], g),
+            cut_function(n, [(k, k + 1, Fraction(k + 1, 2)) for k in range(n - 1)]),
+        ):
+            assert_matches_scanners(f)
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11])
+    def test_submodular_families_large(self, n):
+        # full scalar scans cost seconds here; ordinary submodularity (checked
+        # by the local diamond test) implies every ordinal condition
+        for f in (
+            modular_plus_concave(n, list(range(1, n + 1)), [0] * (n + 1)),
+            cut_function(n, [(k, k + 1, 2**70) for k in range(n - 1)]),
+        ):
+            assert diamond_submodular(f)
+            assert all(hit is None for hit in kernel_hits(f).values())
+
+    @pytest.mark.parametrize("first, block", [(1, 1), (1, 7), (1, 1 << 18), (64, 64), (1 << 10, 1 << 12)])
+    def test_block_size_does_not_move_witnesses(self, monkeypatch, first, block):
+        # a modular function lowered at one late subset fails first at a late
+        # row X, so block boundaries fall before the witness
+        cases = []
+        for n, mask in ((6, 0b100000), (6, 0b111110), (8, 0b10000001), (10, 0b1111111110)):
+            base = modular_plus_concave(n, list(range(1, n + 1)), [0] * (n + 1))
+            vals = list(base.values)
+            vals[mask] = -1
+            cases.append(intfn(vals))
+        cases.append(random_function(9, distinct_values=5, seed=3))
+        expected = [kernel_hits(f) for f in cases]
+        monkeypatch.setattr(kernel, "FIRST_BLOCK", first)
+        monkeypatch.setattr(kernel, "BLOCK", block)
+        for f, want in zip(cases, expected):
+            assert kernel_hits(f) == want
+            if f.n <= 8:
+                assert_matches_scanners(f)
+
+    def test_single_checks_match_classify(self):
+        # classify scans all conditions in one pass; each single check scans alone
+        for seed in range(30):
+            f = random_function(5, OrderedCodomain("rational"), distinct_values=2 + seed % 6, seed=seed)
+            report = classify(f)
+            for cond in ORDINAL_CHECKS:
+                assert check_condition(f, cond) == report.witnesses.get(cond)
+            assert check_ordinary_submodular(f) == report.witnesses.get(ConditionId.ORDINARY)
+
+    def test_iter_witnesses_matches_pair_scan(self):
+        for seed in range(20):
+            f = random_function(4, distinct_values=3, seed=seed)
+            for cond in ORDINAL_CHECKS:
+                want = []
+                for p in lazy_incomparable_pairs(4):
+                    if cond is ConditionId.QUASI:
+                        tags = [c for c in (ConditionId.Q1, ConditionId.Q2) if not holds_at_pair(f, c, p[0], p[1])]
+                        if tags:
+                            want.append((p[:2], tags[0]))
+                    elif not holds_at_pair(f, cond, p[0], p[1]):
+                        want.append((p[:2], cond))
+                assert [((w.x, w.y), w.condition) for w in iter_witnesses(f, cond)] == want
+
+    def test_exact_ints_overflow_falls_back_to_python_ints(self):
+        assert kernel.exact_ints([1, -(2**61)]).dtype.kind == "i"
+        assert kernel.exact_ints([1, 2**62]).dtype.kind == "O"
+        assert list(kernel.exact_ints([Fraction(1, 3), Fraction(1, 2), 2])) == [2, 3, 12]
+
+
+def _run_python(code, limit_bytes=None):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        preexec_fn=limit if limit_bytes else None, timeout=120,
+    )
+
+
+class TestKernelFootprint:
+    def test_classify_n12_under_address_space_limit(self, tmp_path):
+        # 4**12 pairs held as Python tuples would not fit in this limit
+        path = tmp_path / "mod12.json"
+        f = modular_plus_concave(12, list(range(1, 13)), [0] * 13)
+        path.write_text(json.dumps(set_function_to_json(f)))
+        code = f"import sys; from ordsub.cli import main; sys.exit(main(['classify', '--json', {str(path)!r}]))"
+        proc = _run_python(code, limit_bytes=1536 * 1024 * 1024)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["OrdinarySubmodular"] is True
+
+    def test_numpy_not_imported_by_version_verify_search(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "from ordsub import run_suite, search_witness\n"
+            "from ordsub.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        main(['--version'])\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "run_suite('lemma1', 2)\n"
+            "search_witness(2, 'Q4 & !Q3')\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -228,6 +228,23 @@ class TestPredicateParsing:
         with pytest.raises(ValueError, match="syntax"):
             parse_predicate("Q1 & #")
 
+    def test_nesting_bound(self):
+        from ordsub.generators import MAX_PREDICATE_NESTING as k
+
+        inner = "(" * (k - 1) + "!Q1" + ")" * (k - 1)
+        assert parse_predicate(inner).evaluate({ConditionId.Q1: False}.__getitem__)
+        for text in ("!" * (k + 1) + "Q1", "(" * k + "!Q1" + ")" * k):
+            with pytest.raises(ValueError, match="nests too deeply"):
+                parse_predicate(text)
+
+    def test_mixed_chains(self):
+        p = parse_predicate("Q1 & Q2 & Q3 | Q4 | !Qh")
+        look = {ConditionId.Q1: True, ConditionId.Q2: True, ConditionId.Q3: False,
+                ConditionId.Q4: False, ConditionId.QH: True}
+        assert not p.evaluate(look.__getitem__)
+        look[ConditionId.QH] = False
+        assert p.evaluate(look.__getitem__)
+
 
 class TestSearchWitness:
     def test_pinned_gap_witnesses(self):
@@ -245,11 +262,6 @@ class TestSearchWitness:
     def test_not_found(self):
         # at n = 1 every pair of subsets is comparable, so Q4 always holds
         assert search_witness(1, "!Q4") is None
-
-    def test_threads_identical(self):
-        a = search_witness(2, "Q2 & !Q1")
-        b = search_witness(2, "Q2 & !Q1", threads=4)
-        assert a.values == b.values
 
     def test_string_or_parsed(self):
         p = parse_predicate("Q1 & !Q2")

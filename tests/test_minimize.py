@@ -16,7 +16,9 @@ from ordsub import (
     is_interval_local_min,
     is_lower_interval_min,
     lift_to_global,
+    random_function,
 )
+from ordsub import kernel
 
 from conftest import intfn
 
@@ -39,9 +41,6 @@ class TestArgmin:
         assert argmin(f_r3).minimizers == (1,)
         assert argmin(f_r3).min_value.key == 0
         assert argmin(f_cut).minimizers == (0, 3)
-
-    def test_threads_identical(self, f_cut):
-        assert argmin(f_cut) == argmin(f_cut, threads=4)
 
     def test_matches_oracle(self):
         for f in enumerate_weak_orders(2):
@@ -138,10 +137,16 @@ class TestIntervalDescent:
         # the terminal happens to attain the true minimum, but uncertified
         assert f.values[trace.terminal] == min(f.values)
 
-    def test_threads_identical(self, f_r3):
-        a = interval_descent(f_r3, 2)
-        b = interval_descent(f_r3, 2, threads=4)
-        assert a.steps == b.steps and a.certificate == b.certificate
+    def test_threads_identical(self, monkeypatch, f_r3):
+        # the certificate's condition checks scan in row blocks; one row per
+        # block must give the same walk and certificate
+        runs = [(f_r3, 2), (random_function(6, distinct_values=5, seed=11), 0b111111)]
+        want = [interval_descent(f, s) for f, s in runs]
+        monkeypatch.setattr(kernel, "FIRST_BLOCK", 1)
+        monkeypatch.setattr(kernel, "BLOCK", 1)
+        for (f, s), a in zip(runs, want):
+            b = interval_descent(f, s)
+            assert a.steps == b.steps and a.certificate == b.certificate
 
 
 class TestCertify:

@@ -35,10 +35,6 @@ class TestRunSuite:
         r = run_suite("remark2", 2)
         assert r.hypothesis_count == r.scanned == 75
 
-    @pytest.mark.parametrize("suite", SUITE_NAMES)
-    def test_threads_identical(self, suite):
-        assert run_suite(suite, 2, threads=1) == run_suite(suite, 2, threads=4)
-
     def test_json_shape(self):
         out = run_suite("qh", 1).to_json()
         assert out == {
