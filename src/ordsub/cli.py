@@ -195,8 +195,8 @@ def _parse_edges(text: str) -> list[tuple[int, int, int | Fraction]]:
             endpoints, weight = part.split(":") if ":" in part else (part, "1")
             i, j = endpoints.split("-")
             edges.append((int(i), int(j), _parse_weight(weight)))
-        except (ValueError, TypeError):
-            raise ValueError(f"bad edge {part!r}; expected i-j:w (e.g. 0-1:1)") from None
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"bad edge {part!r} ({exc}); expected i-j:w (e.g. 0-1:1)") from None
     return edges
 
 
@@ -221,6 +221,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         f = modular_plus_concave(args.n, weights, concave)
     else:  # random
         if args.codomain == "labels":
+            if not args.labels:
+                raise ValueError("--codomain labels needs --labels, e.g. --labels lo,mid,hi")
             codomain = OrderedCodomain("labels", tuple(args.labels.split(",")))
         else:
             codomain = OrderedCodomain(args.codomain)

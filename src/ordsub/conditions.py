@@ -13,9 +13,10 @@ tested pairwise over X, Y against:
 Quasisubmodular means Q1 and Q2 jointly.  Each condition is defined once, in
 ``VIOLATES``, as the negation of its disjunctive form: a predicate on the
 four lattice values (vx, vy, vu, vi) = (f(X), f(Y), f(X∪Y), f(X∩Y)) written
-with comparisons, ``&`` and ``|`` only.  On Python values it decides one pair
-(``holds_at_pair``, ``ConditionWitness.reproduces``); on numpy arrays it
-decides a block of pairs.  Vacuous hypotheses count as satisfied.
+with comparisons, ``&``, ``|`` and ``+`` only.  On Python values it decides
+one pair (``holds_at_pair``, ``ConditionWitness.reproduces``); on numpy
+arrays it decides a block of pairs; on ``Lanes`` it decides one pair for a
+whole chunk of functions.  Vacuous hypotheses count as satisfied.
 
 Checks on a SetFunction run through the rank kernel (``kernel``).  The values
 are mapped once to dense int32 ranks, which is exact for every ordinal
@@ -28,9 +29,12 @@ are examined.  The witness is the lexicographically first violating (X, Y)
 by mask, so witnesses are deterministic.  numpy is imported by the first
 such check, not by this module.
 
-The raw-vector scanners below (``condition_violation``, ``raw_flag``) serve
-the exhaustive suites and witness search at n <= ENUMERATION_CAP, where a
-Python loop over a short pair list costs less than a numpy call.
+The exhaustive suites and witness search, at n <= ENUMERATION_CAP, check
+hundreds of thousands of functions on 8 values each, where a numpy call per
+function costs more than the check.  They run ``VIOLATES`` bit-sliced
+instead, in pure Python (``lane_chunks``): CHUNK enumerated rank vectors
+become one int per subset with a 16-bit lane per function, and each
+predicate call answers for every function of the chunk at once.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import OrdinalValue, RawKey, SetFunction
 
@@ -89,109 +94,128 @@ VIOLATES: dict[ConditionId, Callable] = {
 def incomparable_pair_table(n: int) -> tuple[Pair, ...]:
     """The pairs (X, Y, X|Y, X&Y) with X ⊄ Y and Y ⊄ X, in lexicographic order.
 
-    Only for the raw-vector scanners, so only up to ENUMERATION_CAP.
+    Only for the bit-sliced chunks, so only up to ENUMERATION_CAP.
     """
     if not 0 <= n <= ENUMERATION_CAP:
-        raise ValueError(f"raw pair lists are capped at n <= {ENUMERATION_CAP}, got {n}")
+        raise ValueError(f"pair lists are capped at n <= {ENUMERATION_CAP}, got {n}")
     size = 1 << n
     return tuple(
         (x, y, x | y, x & y) for x in range(size) for y in range(size) if x & y not in (x, y)
     )
 
 
-# Violation scanners over raw value tables, for n <= ENUMERATION_CAP.  Each
-# returns the first failing pair (X, Y, X|Y, X&Y) in the given pair sequence,
-# or None.  Kept as separate tight loops; these run hundreds of thousands of
-# times in the exhaustive suites.
+# Bit-sliced evaluation of VIOLATES over many small functions at once.  A
+# chunk of rank vectors becomes one Python int per subset, holding one 16-bit
+# lane per function.  Every comparison of two such ints answers in the guard
+# bit (bit 8) of each lane, so a predicate returns the bitset of the chunk's
+# functions that violate it at one pair.  Values stay in 0..LANE_MAX, so a
+# value, or the sum of two, never reaches the guard bit.
 
-def _q1_violation(vals: Sequence[RawKey], pairs: Sequence[Pair]) -> Pair | None:
-    for p in pairs:
-        if vals[p[0]] <= vals[p[3]] and vals[p[2]] > vals[p[1]]:
-            return p
-    return None
-
-
-def _q2_violation(vals: Sequence[RawKey], pairs: Sequence[Pair]) -> Pair | None:
-    for p in pairs:
-        if vals[p[0]] < vals[p[3]] and vals[p[2]] >= vals[p[1]]:
-            return p
-    return None
+CHUNK = 4096
+LANE_MAX = 127
 
 
-def _q3_violation(vals: Sequence[RawKey], pairs: Sequence[Pair]) -> Pair | None:
-    for p in pairs:
-        if vals[p[0]] < vals[p[3]] and vals[p[2]] > vals[p[1]]:
-            return p
-    return None
+class Lanes:
+    """The values at one subset of a chunk of functions, one 16-bit lane each.
 
-
-def _q4_violation(vals: Sequence[RawKey], pairs: Sequence[Pair]) -> Pair | None:
-    for x, y, u, i in pairs:
-        vx, vy = vals[x], vals[y]
-        hi = vx if vx >= vy else vy
-        if vals[u] > hi and vals[i] > hi:
-            return (x, y, u, i)
-    return None
-
-
-def _qh_violation(vals: Sequence[RawKey], pairs: Sequence[Pair]) -> Pair | None:
-    for x, y, u, i in pairs:
-        vx = vals[x]
-        if vx == vals[y]:
-            vu, vi = vals[u], vals[i]
-            if vu >= vx and vi >= vx and not (vu == vx and vi == vx):
-                return (x, y, u, i)
-    return None
-
-
-def _ordinary_violation(vals: Sequence[RawKey], pairs: Sequence[Pair]) -> Pair | None:
-    for x, y, u, i in pairs:
-        if vals[x] + vals[y] < vals[u] + vals[i]:
-            return (x, y, u, i)
-    return None
-
-
-_VIOLATION_SCANNERS: dict[ConditionId, Callable[[Sequence[RawKey], Sequence[Pair]], Pair | None]] = {
-    ConditionId.Q1: _q1_violation,
-    ConditionId.Q2: _q2_violation,
-    ConditionId.Q3: _q3_violation,
-    ConditionId.Q4: _q4_violation,
-    ConditionId.QH: _qh_violation,
-    ConditionId.ORDINARY: _ordinary_violation,
-}
-
-
-def _quasi_violation(vals: Sequence[RawKey], pairs: Sequence[Pair]) -> tuple[Pair, ConditionId] | None:
-    """First pair failing Q1 or Q2, tagged with which of the two failed."""
-    for x, y, u, i in pairs:
-        vx, vi = vals[x], vals[i]
-        if vx < vi:
-            if vals[u] >= vals[y]:
-                return (x, y, u, i), ConditionId.Q2
-        elif vx == vi:
-            if vals[u] > vals[y]:
-                return (x, y, u, i), ConditionId.Q1
-    return None
-
-
-def condition_violation(cond: ConditionId, vals: Sequence[RawKey], n: int) -> tuple[Pair, ConditionId] | None:
-    """First violating pair for a raw value table, or None.
-
-    Returns the pair together with the condition actually violated (only
-    relevant for QuasiSubmodular, which reports Q1 or Q2).
+    ``guard`` holds the guard bit of every lane.  ``a <= b`` is computed as
+    ((b | guard) - a) & guard: a lane of b - a borrows from its guard bit
+    exactly when a > b.  The other comparisons derive from it.
     """
-    pairs = incomparable_pair_table(n)
-    if cond is ConditionId.QUASI:
-        return _quasi_violation(vals, pairs)
-    hit = _VIOLATION_SCANNERS[cond](vals, pairs)
-    return None if hit is None else (hit, cond)
+
+    __slots__ = ("bits", "guard")
+    __hash__ = None
+
+    def __init__(self, bits: int, guard: int) -> None:
+        self.bits = bits
+        self.guard = guard
+
+    def __le__(self, other: Lanes) -> int:
+        return ((other.bits | self.guard) - self.bits) & self.guard
+
+    def __ge__(self, other: Lanes) -> int:
+        return ((self.bits | self.guard) - other.bits) & self.guard
+
+    def __lt__(self, other: Lanes) -> int:
+        return self.guard ^ (self >= other)
+
+    def __gt__(self, other: Lanes) -> int:
+        return self.guard ^ (self <= other)
+
+    def __eq__(self, other: Lanes) -> int:  # type: ignore[override]
+        return (self <= other) & (self >= other)
+
+    def __add__(self, other: Lanes) -> Lanes:
+        return Lanes(self.bits + other.bits, self.guard)
 
 
-def raw_flag(cond: ConditionId, vals: Sequence[RawKey], n: int) -> bool:
-    """Does a raw value table satisfy the condition everywhere?"""
-    if cond is ConditionId.INJECTIVE:
-        return len(set(vals)) == len(vals)
-    return condition_violation(cond, vals, n) is None
+@dataclass(frozen=True)
+class LaneChunk:
+    """Up to CHUNK rank vectors on the subsets of n elements, bit-sliced.
+
+    ``full`` is the set of all the chunk's functions: the guard bit of every
+    lane.  Bitsets of functions are subsets of it, in enumeration order from
+    the lowest bit up.
+    """
+
+    vectors: Sequence[tuple[int, ...]]
+    cols: Sequence[Lanes]
+    n: int
+    full: int
+
+    @property
+    def pairs(self) -> tuple[Pair, ...]:
+        return incomparable_pair_table(self.n)
+
+    def vector(self, bits: int) -> tuple[int, ...]:
+        """The first function of a nonempty bitset."""
+        return self.vectors[((bits & -bits).bit_length() - 9) >> 4]
+
+    def hits(self, cond: ConditionId, pairs: Iterable[Pair] | None = None) -> list[int]:
+        """Per pair (incomparable ones by default, in order): the functions violating cond there."""
+        c, violates = self.cols, VIOLATES[cond]
+        return [violates(c[x], c[y], c[u], c[i]) for x, y, u, i in (self.pairs if pairs is None else pairs)]
+
+    def holds(self, cond: ConditionId) -> int:
+        """The functions satisfying cond at every pair (Injective: at every pair X < Y)."""
+        pairs = None
+        if cond is ConditionId.INJECTIVE:
+            size = len(self.cols)
+            pairs = [(x, y, x | y, x & y) for y in range(size) for x in range(y)]
+        bad = 0
+        for bits in self.hits(cond, pairs):
+            bad |= bits
+        return self.full ^ bad
+
+    def dual(self) -> LaneChunk:
+        """The same functions' complement duals, X -> f(E - X)."""
+        full = len(self.cols) - 1
+        return LaneChunk(self.vectors, [self.cols[full ^ m] for m in range(full + 1)], self.n, self.full)
+
+
+def lane_chunks(vectors: Iterable[Sequence[int]], n: int) -> Iterator[LaneChunk]:
+    """Bit-slice rank vectors on the 2**n subsets, CHUNK at a time, in order.
+
+    Raises ValueError for a vector of another length or a value outside
+    0..LANE_MAX.
+    """
+    size = 1 << n
+    it = iter(vectors)
+    while chunk := list(islice(it, CHUNK)):
+        try:
+            flat = bytes(chain.from_iterable(chunk))
+        except (TypeError, ValueError):
+            flat = None
+        # isascii: every value is below 128, that is at most LANE_MAX
+        if flat is None or len(flat) != size * len(chunk) or not flat.isascii():
+            raise ValueError(f"bit-sliced vectors need {size} integers in 0..{LANE_MAX} each")
+        full = int.from_bytes(b"\0\1" * len(chunk), "little")
+        lanes = bytearray(2 * len(chunk))
+        cols = []
+        for s in range(size):
+            lanes[::2] = flat[s::size]  # lane k holds the value of function k, little-endian
+            cols.append(Lanes(int.from_bytes(lanes, "little"), full))
+        yield LaneChunk(chunk, cols, n, full)
 
 
 @dataclass(frozen=True)
@@ -235,6 +259,13 @@ def _violates(f: SetFunction, cond: ConditionId, x: int, y: int) -> bool:
     return VIOLATES[cond](vals[x], vals[y], vals[x | y], vals[x & y])
 
 
+def _witness_at(f: SetFunction, cond: ConditionId, x: int, y: int) -> ConditionWitness:
+    """The witness of a pair violating cond; a QuasiSubmodular pair is tagged Q2 if it fails Q2, else Q1."""
+    if cond is ConditionId.QUASI:
+        cond = ConditionId.Q2 if _violates(f, ConditionId.Q2, x, y) else ConditionId.Q1
+    return _make_witness(f, cond, (x, y, x | y, x & y))
+
+
 def holds_at_pair(f: SetFunction, cond: ConditionId, x: int, y: int) -> bool:
     """Evaluate one condition at the single pair (X, Y)."""
     f.ground.check_mask(x)
@@ -245,8 +276,7 @@ def holds_at_pair(f: SetFunction, cond: ConditionId, x: int, y: int) -> bool:
 def _first_witnesses(f: SetFunction, conds: Sequence[ConditionId]) -> dict[ConditionId, ConditionWitness]:
     """The first witness of each failing condition in conds, in the order of conds.
 
-    The ordinal conditions share one kernel pass over the ranks.  A
-    QuasiSubmodular witness is tagged Q2 when its pair fails Q2, else Q1.
+    The ordinal conditions share one kernel pass over the ranks.
     """
     from . import kernel
 
@@ -255,15 +285,7 @@ def _first_witnesses(f: SetFunction, conds: Sequence[ConditionId]) -> dict[Condi
     if ConditionId.ORDINARY in conds:
         ordinary = {ConditionId.ORDINARY: VIOLATES[ConditionId.ORDINARY]}
         hits.update(kernel.first_violations(f.n, kernel.exact_ints(f.values), ordinary))
-    out = {}
-    for cond in conds:
-        if cond in hits:
-            x, y = hits[cond]
-            tag = cond
-            if cond is ConditionId.QUASI:
-                tag = ConditionId.Q2 if _violates(f, ConditionId.Q2, x, y) else ConditionId.Q1
-            out[cond] = _make_witness(f, tag, (x, y, x | y, x & y))
-    return out
+    return {cond: _witness_at(f, cond, *hits[cond]) for cond in conds if cond in hits}
 
 
 def check_condition(f: SetFunction, cond: ConditionId) -> ConditionWitness | None:
@@ -280,7 +302,7 @@ def check_condition(f: SetFunction, cond: ConditionId) -> ConditionWitness | Non
 def iter_witnesses(f: SetFunction, cond: ConditionId) -> Iterator[ConditionWitness]:
     """Every violating pair in lexicographic order (the full-witness-list mode).
 
-    Here a QuasiSubmodular witness is tagged Q1 when its pair fails Q1, else Q2.
+    A QuasiSubmodular witness is tagged as by ``check_condition``.
     """
     from . import kernel
 
@@ -288,10 +310,7 @@ def iter_witnesses(f: SetFunction, cond: ConditionId) -> Iterator[ConditionWitne
         raise ValueError("injectivity also concerns comparable pairs; see injective_witness")
     vals = kernel.exact_ints(f.values) if cond is ConditionId.ORDINARY else kernel.dense_ranks(f.values)
     for x, y in kernel.all_violations(f.n, vals, VIOLATES[cond]):
-        tag = cond
-        if cond is ConditionId.QUASI:
-            tag = ConditionId.Q1 if _violates(f, ConditionId.Q1, x, y) else ConditionId.Q2
-        yield _make_witness(f, tag, (x, y, x | y, x & y))
+        yield _witness_at(f, cond, x, y)
 
 
 def check_ordinary_submodular(f: SetFunction) -> ConditionWitness | None:
@@ -401,17 +420,3 @@ def classify(f: SetFunction) -> ClassReport:
     if w is not None:
         witnesses[ConditionId.INJECTIVE] = w
     return ClassReport(flags, witnesses)
-
-
-def pairwise_q3_equivalence(f: SetFunction) -> bool:
-    """Diagnostic: [every pair satisfies Q1 or Q2] ⟺ [Q3 holds everywhere].
-
-    The two predicates are equivalent for every set function; this evaluates
-    both sides independently, in one kernel pass, and reports whether they agree.
-    """
-    from . import kernel
-
-    q1, q2 = VIOLATES[ConditionId.Q1], VIOLATES[ConditionId.Q2]
-    sides = {"Q1 and Q2": lambda *v: q1(*v) & q2(*v), "Q3": VIOLATES[ConditionId.Q3]}
-    hits = kernel.first_violations(f.n, kernel.dense_ranks(f.values), sides)
-    return ("Q1 and Q2" in hits) == ("Q3" in hits)

@@ -56,6 +56,9 @@ class GroundSet:
                 raise ValueError(f"element names must be nonempty strings, got {name!r}")
             if "," in name:
                 raise ValueError(f"element names must not contain commas: {name!r}")
+            if name != name.strip():
+                # mask_of strips names, so such a name could not be looked up
+                raise ValueError(f"element names must not start or end with whitespace: {name!r}")
             if name in seen:
                 raise ValueError(f"duplicate element name {name!r}")
             seen.add(name)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .conditions import ENUMERATION_CAP, ConditionId, raw_flag
+from .conditions import ENUMERATION_CAP, ConditionId, lane_chunks
 from .core import INTEGERS, GroundSet, OrderedCodomain, RawKey, SetFunction, default_elements
 
 
@@ -245,18 +245,23 @@ class ClassPredicate:
         walk(self.ast)
         return frozenset(found)
 
-    def evaluate(self, lookup: Callable[[ConditionId], bool]) -> bool:
-        def ev(node: tuple) -> bool:
+    def evaluate(self, lookup: Callable[[ConditionId], int], true: int = True) -> int:
+        """The predicate over the flags from lookup.
+
+        Flags are bools, or bitsets of functions, with ``true`` then the set
+        of all of them; the result is of the same kind.
+        """
+        def ev(node: tuple) -> int:
             op = node[0]
             if op == "flag":
                 return lookup(node[1])
             if op == "not":
-                return not ev(node[1])
+                return true ^ ev(node[1])
             if op == "and":
-                return ev(node[1]) and ev(node[2])
-            return ev(node[1]) or ev(node[2])
+                return ev(node[1]) & ev(node[2])
+            return ev(node[1]) | ev(node[2])
 
-        return bool(ev(self.ast))
+        return ev(self.ast)
 
 
 def parse_predicate(text: str) -> ClassPredicate:
@@ -338,28 +343,20 @@ def parse_predicate(text: str) -> ClassPredicate:
     return ClassPredicate(source, node)
 
 
-def _vector_matches(vec: tuple[int, ...], n: int, predicate: ClassPredicate) -> bool:
-    cache: dict[ConditionId, bool] = {}
-
-    def lookup(cond: ConditionId) -> bool:
-        if cond not in cache:
-            cache[cond] = raw_flag(cond, vec, n)
-        return cache[cond]
-
-    return predicate.evaluate(lookup)
-
-
 def search_witness(n: int, predicate: ClassPredicate | str) -> SetFunction | None:
     """First enumerated weak order whose classification satisfies the predicate.
 
-    Functions are scanned in enumeration (lexicographic rank vector) order
-    and the first match wins.  None means the whole stream was exhausted
-    without a match.
+    Functions are scanned in enumeration (lexicographic rank vector) order,
+    a chunk at a time with every flag the predicate names as a bitset, and
+    the first match wins.  None means the whole stream was exhausted without
+    a match.
     """
     _check_cap(n)
     if isinstance(predicate, str):
         predicate = parse_predicate(predicate)
-    for vec in surjective_rank_vectors(1 << n):
-        if _vector_matches(vec, n, predicate):
-            return _as_function(n, vec)
+    for c in lane_chunks(surjective_rank_vectors(1 << n), n):
+        flags = {cond: c.holds(cond) for cond in predicate.conditions()}
+        match = predicate.evaluate(flags.__getitem__, c.full)
+        if match:
+            return _as_function(n, c.vector(match))
     return None

@@ -124,7 +124,7 @@ def _enc_value(v: OrdinalValue) -> object:
     return v.codomain.json_encode(v.key)
 
 
-# Raw kernels, shared with the exhaustive suites.
+# Raw kernels; the interval masks are shared with the exhaustive suites.
 
 def lower_interval_masks(x: int) -> list[int]:
     """Masks of the interval [∅, X], ascending."""

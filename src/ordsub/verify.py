@@ -6,6 +6,13 @@ consequence on those.  A healthy library reports zero violations on every
 suite; the suites exist so that the structural facts the minimizer
 certificates rely on are checked against brute force rather than trusted.
 
+The functions are checked a chunk at a time (``conditions.lane_chunks``):
+each hypothesis and each check of a consequence is a bitset of the chunk's
+functions, built from ``conditions.VIOLATES`` and from lane comparisons of
+values, so no condition is spelled out here a second time.  The first
+violation reported is that of the first violating function in enumeration
+order, at its first failing check in the suite's order.
+
 Suites (names are the CLI tokens):
 
   lemma1    every function satisfying Q3 satisfies Q4
@@ -23,25 +30,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .conditions import (
-    VIOLATES,
-    ConditionId,
-    _q1_violation,
-    _q2_violation,
-    _q3_violation,
-    _q4_violation,
-    _qh_violation,
-    _quasi_violation,
-    incomparable_pair_table,
-)
+from .conditions import ConditionId, LaneChunk, lane_chunks
 from .generators import ENUMERATION_CAP, injective_rank_vectors, surjective_rank_vectors
-from .minimize import raw_is_lower_min, raw_interval_local_min, upper_interval_masks
+from .minimize import lower_interval_masks, upper_interval_masks
 
 SUITE_NAMES = ("lemma1", "lemma1a", "theorem1", "theorem2", "duality", "remark2", "remark5", "qh")
 
+Q1, Q2, Q3, Q4, QH, QUASI = (ConditionId.Q1, ConditionId.Q2, ConditionId.Q3, ConditionId.Q4,
+                             ConditionId.QH, ConditionId.QUASI)
+
 Vector = tuple[int, ...]
-# A check maps one rank vector to (hypothesis applies, violation description or None).
-Check = Callable[[Vector], tuple[bool, str | None]]
+# What a suite makes of a chunk: the functions satisfying its hypothesis, and
+# its checks of the consequence as (functions failing the check, description
+# with {} for the function), in the order the first failing check of a
+# function is reported.
+Outcome = tuple[int, list[tuple[int, str]]]
 
 
 @dataclass(frozen=True)
@@ -69,168 +72,100 @@ class SuiteResult:
         }
 
 
-def _check_lemma1(n: int) -> Check:
-    pairs = incomparable_pair_table(n)
-
-    def check(vec: Vector) -> tuple[bool, str | None]:
-        if _q3_violation(vec, pairs) is not None:
-            return False, None
-        bad = _q4_violation(vec, pairs)
-        if bad is None:
-            return True, None
-        return True, f"Q3 function {list(vec)} fails Q4 at pair (X={bad[0]}, Y={bad[1]})"
-
-    return check
+def _minimal(c: LaneChunk, x: int, masks: Iterable[int]) -> int:
+    """The functions with f(X) <= f(Z) for every Z in masks."""
+    out, cx = c.full, c.cols[x]
+    for z in masks:
+        out &= cx <= c.cols[z]
+    return out
 
 
-def _global_min(vec: Vector) -> int:
-    return min(vec)
+def _global_minima(c: LaneChunk) -> list[int]:
+    """Per subset X: the functions that attain their minimum at X."""
+    return [_minimal(c, x, range(len(c.cols))) for x in range(len(c.cols))]
 
 
-def _check_lemma1a(n: int) -> Check:
-    pairs = incomparable_pair_table(n)
-    size = 1 << n
-    uppers = [upper_interval_masks(x, n) for x in range(size)]
-
-    def check(vec: Vector) -> tuple[bool, str | None]:
-        if _q1_violation(vec, pairs) is not None:
-            return False, None
-        gmin = min(vec)
-        for x in range(size):
-            if raw_is_lower_min(vec, x):
-                if min(vec[m] for m in uppers[x]) != gmin:
-                    return True, f"Q1 function {list(vec)}: no global minimizer above lower-minimal X={x}"
-        return True, None
-
-    return check
+def _local_not_global(c: LaneChunk) -> list[int]:
+    """Per subset X: the functions minimal over [∅, X] ∪ [X, E] but not at X globally."""
+    return [
+        _minimal(c, x, lower_interval_masks(x)) & _minimal(c, x, upper_interval_masks(x, c.n)) & ~g
+        for x, g in enumerate(_global_minima(c))
+    ]
 
 
-def _check_theorem1(n: int) -> Check:
-    pairs = incomparable_pair_table(n)
-    size = 1 << n
-
-    def check(vec: Vector) -> tuple[bool, str | None]:
-        q1 = _q1_violation(vec, pairs) is None
-        q2 = _q2_violation(vec, pairs) is None
-        if not (q1 or q2):
-            return False, None
-        gmin = min(vec)
-        for x in range(size):
-            if vec[x] != gmin and raw_interval_local_min(vec, x, n):
-                which = "Q1" if q1 else "Q2"
-                return True, f"{which} function {list(vec)}: interval-local X={x} is not global"
-        return True, None
-
-    return check
+def _lemma1(c: LaneChunk) -> Outcome:
+    fails = [(bits, f"Q3 function {{}} fails Q4 at pair (X={p[0]}, Y={p[1]})")
+             for bits, p in zip(c.hits(Q4), c.pairs)]
+    return c.holds(Q3), fails
 
 
-def _check_theorem2(n: int) -> Check:
-    pairs = incomparable_pair_table(n)
-    size = 1 << n
-
-    def check(vec: Vector) -> tuple[bool, str | None]:
-        if _q4_violation(vec, pairs) is not None:
-            return False, None
-        unique_min = vec.index(min(vec))
-        for x in range(size):
-            if x != unique_min and raw_interval_local_min(vec, x, n):
-                return True, f"injective Q4 function {list(vec)}: interval-local X={x} is not the minimizer"
-        return True, None
-
-    return check
+def _lemma1a(c: LaneChunk) -> Outcome:
+    gmin = _global_minima(c)
+    fails = []
+    for x in range(len(c.cols)):
+        above = 0
+        for z in upper_interval_masks(x, c.n):
+            above |= gmin[z]
+        fails.append((_minimal(c, x, lower_interval_masks(x)) & ~above,
+                      f"Q1 function {{}}: no global minimizer above lower-minimal X={x}"))
+    return c.holds(Q1), fails
 
 
-def _check_duality(n: int) -> Check:
-    pairs = incomparable_pair_table(n)
-    full = (1 << n) - 1
-
-    def check(vec: Vector) -> tuple[bool, str | None]:
-        dual = tuple(vec[full ^ m] for m in range(full + 1))
-        if (_q1_violation(vec, pairs) is None) != (_q2_violation(dual, pairs) is None):
-            return True, f"{list(vec)}: Q1 does not match Q2 of the complement dual"
-        if (_q3_violation(vec, pairs) is None) != (_q3_violation(dual, pairs) is None):
-            return True, f"{list(vec)}: Q3 is not complement-self-dual"
-        if (_q4_violation(vec, pairs) is None) != (_q4_violation(dual, pairs) is None):
-            return True, f"{list(vec)}: Q4 is not complement-self-dual"
-        return True, None
-
-    return check
+def _theorem1(c: LaneChunk) -> Outcome:
+    q1, q2 = c.holds(Q1), c.holds(Q2)
+    sides = (("Q1", q1), ("Q2", c.full ^ q1))  # name Q1 when it holds, else Q2
+    fails = [(bad & side, f"{name} function {{}}: interval-local X={x} is not global")
+             for x, bad in enumerate(_local_not_global(c)) for name, side in sides]
+    return q1 | q2, fails
 
 
-def _check_remark2(n: int) -> Check:
-    pairs = incomparable_pair_table(n)
-    q1, q2 = VIOLATES[ConditionId.Q1], VIOLATES[ConditionId.Q2]
-
-    def check(vec: Vector) -> tuple[bool, str | None]:
-        pointwise = not any(
-            q1(vec[x], vec[y], vec[u], vec[i]) and q2(vec[x], vec[y], vec[u], vec[i])
-            for x, y, u, i in pairs
-        )
-        q3 = _q3_violation(vec, pairs) is None
-        if pointwise != q3:
-            return True, f"{list(vec)}: pairwise Q1-or-Q2 disagrees with Q3"
-        return True, None
-
-    return check
+def _theorem2(c: LaneChunk) -> Outcome:
+    # an injective function has one global minimizer, so "not THE minimizer" is "not global"
+    fails = [(bad, f"injective Q4 function {{}}: interval-local X={x} is not the minimizer")
+             for x, bad in enumerate(_local_not_global(c))]
+    return c.holds(Q4), fails
 
 
-def _check_remark5(n: int) -> Check:
-    pairs = incomparable_pair_table(n)
-    size = 1 << n
-
-    def check(vec: Vector) -> tuple[bool, str | None]:
-        if _quasi_violation(vec, pairs) is not None:
-            return False, None
-        gmin = min(vec)
-        mins = {m for m in range(size) if vec[m] == gmin}
-        for a in mins:
-            for b in mins:
-                if (a | b) not in mins or (a & b) not in mins:
-                    return True, f"quasisubmodular {list(vec)}: argmin not closed at ({a}, {b})"
-        return True, None
-
-    return check
+def _duality(c: LaneChunk) -> Outcome:
+    d = c.dual()
+    return c.full, [
+        (c.holds(Q1) ^ d.holds(Q2), "{}: Q1 does not match Q2 of the complement dual"),
+        (c.holds(Q3) ^ d.holds(Q3), "{}: Q3 is not complement-self-dual"),
+        (c.holds(Q4) ^ d.holds(Q4), "{}: Q4 is not complement-self-dual"),
+    ]
 
 
-def _check_qh(n: int) -> Check:
-    pairs = incomparable_pair_table(n)
-
-    def check(vec: Vector) -> tuple[bool, str | None]:
-        if _quasi_violation(vec, pairs) is not None:
-            return False, None
-        bad = _qh_violation(vec, pairs)
-        if bad is None:
-            return True, None
-        return True, f"quasisubmodular {list(vec)} fails Qh at pair (X={bad[0]}, Y={bad[1]})"
-
-    return check
+def _remark2(c: LaneChunk) -> Outcome:
+    both = 0  # the functions failing Q1 and Q2 at one pair
+    for q1, q2 in zip(c.hits(Q1), c.hits(Q2)):
+        both |= q1 & q2
+    return c.full, [(c.full ^ both ^ c.holds(Q3), "{}: pairwise Q1-or-Q2 disagrees with Q3")]
 
 
-_SUITE_CHECKS: dict[str, Callable[[int], Check]] = {
-    "lemma1": _check_lemma1,
-    "lemma1a": _check_lemma1a,
-    "theorem1": _check_theorem1,
-    "theorem2": _check_theorem2,
-    "duality": _check_duality,
-    "remark2": _check_remark2,
-    "remark5": _check_remark5,
-    "qh": _check_qh,
+def _remark5(c: LaneChunk) -> Outcome:
+    # a comparable pair is closed trivially, so the incomparable ones decide
+    g = _global_minima(c)
+    fails = [(g[x] & g[y] & ~(g[u] & g[i]), f"quasisubmodular {{}}: argmin not closed at ({x}, {y})")
+             for x, y, u, i in c.pairs]
+    return c.holds(QUASI), fails
+
+
+def _qh(c: LaneChunk) -> Outcome:
+    fails = [(bits, f"quasisubmodular {{}} fails Qh at pair (X={p[0]}, Y={p[1]})")
+             for bits, p in zip(c.hits(QH), c.pairs)]
+    return c.holds(QUASI), fails
+
+
+_SUITES: dict[str, Callable[[LaneChunk], Outcome]] = {
+    "lemma1": _lemma1,
+    "lemma1a": _lemma1a,
+    "theorem1": _theorem1,
+    "theorem2": _theorem2,
+    "duality": _duality,
+    "remark2": _remark2,
+    "remark5": _remark5,
+    "qh": _qh,
 }
-
-
-def _scan(vectors: Iterable[Vector], check: Check) -> tuple[int, int, int, str | None]:
-    scanned = hyp = viol = 0
-    first: str | None = None
-    for vec in vectors:
-        scanned += 1
-        applies, detail = check(vec)
-        if applies:
-            hyp += 1
-        if detail is not None:
-            viol += 1
-            if first is None:
-                first = detail
-    return scanned, hyp, viol, first
 
 
 def suite_vectors(suite: str, n: int) -> Iterator[Vector]:
@@ -241,10 +176,22 @@ def suite_vectors(suite: str, n: int) -> Iterator[Vector]:
 
 def run_suite(suite: str, n: int) -> SuiteResult:
     """Run one named suite exhaustively at the given n (capped at 3)."""
-    if suite not in _SUITE_CHECKS:
+    if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITE_NAMES)}")
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"suites run at 1 <= n <= {ENUMERATION_CAP}, got {n}")
-    check = _SUITE_CHECKS[suite](n)
-    scanned, hyp, viol, first = _scan(suite_vectors(suite, n), check)
-    return SuiteResult(suite, n, scanned, hyp, viol, first)
+    scanned = hyp_count = violations = 0
+    first: str | None = None
+    for c in lane_chunks(suite_vectors(suite, n), n):
+        hyp, fails = _SUITES[suite](c)
+        bad = 0
+        for bits, _ in fails:
+            bad |= bits
+        bad &= hyp
+        scanned += len(c.vectors)
+        hyp_count += hyp.bit_count()
+        violations += bad.bit_count()
+        if bad and first is None:
+            lane = bad & -bad
+            first = next(text for bits, text in fails if bits & lane).format(list(c.vector(lane)))
+    return SuiteResult(suite, n, scanned, hyp_count, violations, first)

@@ -209,6 +209,17 @@ class TestGenerateAndSearch:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_bad_edge_names_its_cause(self):
+        code, out, err = run_cli("generate", "cut", "--n", "3", "--edges", "0-1:1/0")
+        assert (code, out) == (2, "")
+        assert "bad edge '0-1:1/0'" in err and "zero denominator in '1/0'" in err
+        assert err.count("\n") == 1
+
+    def test_labels_codomain_needs_labels(self):
+        code, out, err = run_cli("generate", "random", "--n", "1", "--distinct", "1", "--codomain", "labels")
+        assert (code, out) == (2, "")
+        assert err == "error: --codomain labels needs --labels, e.g. --labels lo,mid,hi\n"
+
     def test_zero_denominator_modular_weight(self):
         code, out, err = run_cli("generate", "modular", "--n", "2", "--weights", "1/0,1", "--concave", "0,0,0")
         assert (code, out) == (2, "")

@@ -1,16 +1,22 @@
 """Condition checks, cross-validated against an independent oracle.
 
-The oracle below evaluates the conditions in their implication forms over the
-full 4**n pair table, while the library scans disjunctive forms over
-incomparable pairs only; the two must agree everywhere.
+The oracle below evaluates the conditions in their implication forms, one
+pair at a time, while the library evaluates the violation predicates of
+``VIOLATES`` over blocks of pairs (the numpy kernel) or over chunks of
+functions (the bit-sliced lanes); they must agree everywhere.
 """
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache, reduce
+from itertools import chain, islice, product
+from operator import itemgetter, or_
 from pathlib import Path
 
 import pytest
@@ -31,25 +37,20 @@ from ordsub import (
     is_ordinary_submodular,
     iter_witnesses,
     modular_plus_concave,
-    pairwise_q3_equivalence,
     random_function,
     set_function_to_json,
 )
 from ordsub import kernel
-from ordsub.conditions import (
-    _VIOLATION_SCANNERS,
-    ClassReport,
-    _quasi_violation,
-    incomparable_pair_table,
-    injective_witness,
-)
+from ordsub.conditions import LANE_MAX, VIOLATES, ClassReport, incomparable_pair_table, injective_witness, lane_chunks
 from ordsub.generators import surjective_rank_vectors
 
 from conftest import intfn
 
 
-# Oracle: implication forms, all ordered pairs, no shortcuts.
+# Oracle: implication forms, all ordered pairs, no shortcuts.  Memoized on the
+# four values only to keep the exhaustive scans short.
 
+@lru_cache(maxsize=1 << 16)
 def oracle_holds(cond, vx, vy, vu, vi):
     if cond is ConditionId.Q1:
         return vu <= vy if vx <= vi else True
@@ -63,7 +64,18 @@ def oracle_holds(cond, vx, vy, vu, vi):
         if vx != vy:
             return True
         return (vu == vx and vi == vx) or vu < vx or vi < vx
+    if cond is ConditionId.QUASI:
+        return oracle_holds(ConditionId.Q1, vx, vy, vu, vi) and oracle_holds(ConditionId.Q2, vx, vy, vu, vi)
+    if cond is ConditionId.ORDINARY:
+        return vx + vy >= vu + vi
     raise AssertionError(cond)
+
+
+def oracle_tag(cond, vx, vy, vu, vi):
+    """The condition a violating pair is reported as: a QuasiSubmodular pair is Q2 if it fails Q2, else Q1."""
+    if cond is not ConditionId.QUASI:
+        return cond
+    return ConditionId.Q1 if oracle_holds(ConditionId.Q2, vx, vy, vu, vi) else ConditionId.Q2
 
 
 def oracle_first_witness(f, cond):
@@ -318,15 +330,6 @@ class TestClassify:
         }
 
 
-class TestPairwiseQ3Equivalence:
-    def test_fixtures(self, f_r3, f_const):
-        assert pairwise_q3_equivalence(f_r3)
-        assert pairwise_q3_equivalence(f_const)
-
-    def test_all_n2(self):
-        assert all(pairwise_q3_equivalence(f) for f in enumerate_weak_orders(2))
-
-
 class TestOrdinalInvariance:
     @settings(max_examples=60)
     @given(st.lists(st.integers(0, 5), min_size=4, max_size=4), st.data())
@@ -360,30 +363,33 @@ class TestDualityBridges:
 
 class TestImplicationLatticeExhaustive:
     def test_n3_full_scan(self):
-        # Quasi => Q1 and Q2; Q1 => Q3; Q2 => Q3; Q3 => Q4, over all 545,835
-        # weak orders on 8 subsets (raw kernels keep this to a few seconds)
-        from ordsub.conditions import (
-            _q1_violation,
-            _q2_violation,
-            _q3_violation,
-            _q4_violation,
-            _quasi_violation,
-            incomparable_pair_table,
-        )
-        pairs = incomparable_pair_table(3)
-        count = 0
+        # Quasi => Q1 and Q2; Q1 => Q3; Q2 => Q3; Q3 => Q4; Ordinary => Quasi;
+        # Injective => Qh, over all 545,835 weak orders on 8 subsets.  Each flag
+        # comes from the oracle, through a table of the conditions each value
+        # 4-tuple violates; the loop only counts the distinct flag patterns.
+        conds = (ConditionId.Q1, ConditionId.Q2, ConditionId.Q3, ConditionId.Q4,
+                 ConditionId.QH, ConditionId.QUASI, ConditionId.ORDINARY)
+        table = {
+            v: sum(1 << k for k, c in enumerate(conds) if not oracle_holds(c, *v))
+            for v in product(range(1, 9), repeat=4)
+        }
+        pick = itemgetter(*chain.from_iterable(lazy_incomparable_pairs(3)))
+        patterns = Counter()
         for vec in surjective_rank_vectors(8):
-            count += 1
-            q3 = _q3_violation(vec, pairs) is None
-            q1 = _q1_violation(vec, pairs) is None
-            q2 = _q2_violation(vec, pairs) is None
-            if q1 or q2:
-                assert q3
-            if q3:
-                assert _q4_violation(vec, pairs) is None
-            if _quasi_violation(vec, pairs) is None:
-                assert q1 and q2
-        assert count == 545_835
+            values = iter(pick(vec))
+            violated = reduce(or_, map(table.__getitem__, zip(values, values, values, values)))
+            patterns[violated, len(set(vec)) == 8] += 1
+        assert sum(patterns.values()) == 545_835
+        for violated, injective in patterns:
+            q1, q2, q3, q4, qh, quasi, ordinary = (not violated >> k & 1 for k in range(len(conds)))
+            assert q3 or not (q1 or q2)
+            assert q4 or not q3
+            assert (q1 and q2) or not quasi
+            assert quasi or not ordinary
+            assert qh or not injective
+        # class sizes at n = 3; the suites' hypothesis counts for Q1, Q3 and Quasi must match
+        sizes = [sum(k for (violated, _), k in patterns.items() if not violated >> j & 1) for j in range(len(conds))]
+        assert sizes == [74_565, 74_565, 105_346, 226_330, 413_711, 53_123, 30_417]
 
 
 class TestRestrictPreservesClasses:
@@ -422,8 +428,8 @@ class TestRestrictPreservesClasses:
             self.check_function(f, boxes)
 
 
-# Kernel parity: the numpy rank kernel against the raw scalar scanners, which
-# walk the incomparable pairs one at a time in lexicographic order.
+# Kernel parity: the numpy rank kernel against the oracle, which walks the
+# incomparable pairs one at a time in lexicographic order.
 
 def lazy_incomparable_pairs(n):
     size = 1 << n
@@ -434,13 +440,12 @@ def lazy_incomparable_pairs(n):
 
 
 def scalar_first_hit(cond, vals, n):
-    """First (X, Y) and reported condition from the raw scanners, or None."""
-    pairs = incomparable_pair_table(n) if n <= 3 else lazy_incomparable_pairs(n)
-    if cond is ConditionId.QUASI:
-        hit = _quasi_violation(vals, pairs)
-        return None if hit is None else (hit[0][:2], hit[1])
-    pair = _VIOLATION_SCANNERS[cond](vals, pairs)
-    return None if pair is None else (pair[:2], cond)
+    """First incomparable (X, Y) failing cond by the oracle, with the condition reported, or None."""
+    for x, y, u, i in lazy_incomparable_pairs(n):
+        v = (vals[x], vals[y], vals[u], vals[i])
+        if not oracle_holds(cond, *v):
+            return (x, y), oracle_tag(cond, *v)
+    return None
 
 
 def diamond_submodular(f):
@@ -470,7 +475,7 @@ def kernel_hits(f):
     }
 
 
-def assert_matches_scanners(f):
+def assert_matches_oracle(f):
     for cond, got in kernel_hits(f).items():
         assert got == scalar_first_hit(cond, f.values, f.n), (f.values, cond)
 
@@ -479,12 +484,12 @@ class TestKernelParity:
     def test_weak_orders_n_le_2(self):
         for n in (1, 2):
             for f in enumerate_weak_orders(n):
-                assert_matches_scanners(f)
+                assert_matches_oracle(f)
 
     def test_every_50th_weak_order_n3(self):
         for k, vec in enumerate(surjective_rank_vectors(8)):
             if k % 50 == 0:
-                assert_matches_scanners(intfn(vec))
+                assert_matches_oracle(intfn(vec))
 
     @pytest.mark.parametrize("n", range(4, 12))
     def test_seeded_random(self, n):
@@ -496,7 +501,7 @@ class TestKernelParity:
         for seed in range(3):
             for cod in kinds:
                 d = (2, 3, 4)[seed] if cod.kind == "labels" else (2, 3, 16)[seed]
-                assert_matches_scanners(random_function(n, cod, d, seed=100 * n + seed))
+                assert_matches_oracle(random_function(n, cod, d, seed=100 * n + seed))
 
     @pytest.mark.parametrize("n", range(4, 8))
     def test_submodular_families_small(self, n):
@@ -506,7 +511,7 @@ class TestKernelParity:
             modular_plus_concave(n, [(-1) ** k * k for k in range(n)], g),
             cut_function(n, [(k, k + 1, Fraction(k + 1, 2)) for k in range(n - 1)]),
         ):
-            assert_matches_scanners(f)
+            assert_matches_oracle(f)
 
     @pytest.mark.parametrize("n", [8, 9, 10, 11])
     def test_submodular_families_large(self, n):
@@ -536,7 +541,7 @@ class TestKernelParity:
         for f, want in zip(cases, expected):
             assert kernel_hits(f) == want
             if f.n <= 8:
-                assert_matches_scanners(f)
+                assert_matches_oracle(f)
 
     def test_single_checks_match_classify(self):
         # classify scans all conditions in one pass; each single check scans alone
@@ -554,7 +559,7 @@ class TestKernelParity:
                 want = []
                 for p in lazy_incomparable_pairs(4):
                     if cond is ConditionId.QUASI:
-                        tags = [c for c in (ConditionId.Q1, ConditionId.Q2) if not holds_at_pair(f, c, p[0], p[1])]
+                        tags = [c for c in (ConditionId.Q2, ConditionId.Q1) if not holds_at_pair(f, c, p[0], p[1])]
                         if tags:
                             want.append((p[:2], tags[0]))
                     elif not holds_at_pair(f, cond, p[0], p[1]):
@@ -565,6 +570,64 @@ class TestKernelParity:
         assert kernel.exact_ints([1, -(2**61)]).dtype.kind == "i"
         assert kernel.exact_ints([1, 2**62]).dtype.kind == "O"
         assert list(kernel.exact_ints([Fraction(1, 3), Fraction(1, 2), 2])) == [2, 3, 12]
+
+
+# The bit-sliced evaluator: VIOLATES over chunks of functions, one lane each.
+
+def lanes(bits, count):
+    """Membership of each of a chunk's count functions in a bitset."""
+    text = format(bits, "b").zfill(16 * count)[::-1]
+    return [text[16 * k + 8] == "1" for k in range(count)]
+
+
+class TestLaneChunks:
+    @staticmethod
+    def samples():
+        for n in (1, 2):
+            yield n, list(surjective_rank_vectors(1 << n))
+        yield 3, [vec for k, vec in enumerate(surjective_rank_vectors(8)) if k % 50 == 0]
+
+    def test_flags_and_first_pairs_match_oracle(self):
+        conds = ORDINAL_CHECKS + [ConditionId.ORDINARY]
+        for n, vectors in self.samples():
+            pairs = incomparable_pair_table(n)
+            for c in lane_chunks(vectors, n):
+                count = len(c.vectors)
+                hits = {cond: [lanes(bits, count) for bits in c.hits(cond)] for cond in conds}
+                holds = {cond: lanes(c.holds(cond), count) for cond in conds + [ConditionId.INJECTIVE]}
+                for k, vec in enumerate(c.vectors):
+                    for cond in conds:
+                        want = scalar_first_hit(cond, vec, n)
+                        first = next((p[:2] for p, member in zip(pairs, hits[cond]) if member[k]), None)
+                        assert first == (want and want[0]), (vec, cond)
+                        assert holds[cond][k] == (want is None), (vec, cond)
+                    assert holds[ConditionId.INJECTIVE][k] == (len(set(vec)) == len(vec)), vec
+
+    def test_predicates_across_the_lane_range(self):
+        # values at both ends of 0..LANE_MAX, where a sum comes closest to the guard bit;
+        # 5,000 functions fill one chunk and part of a second
+        rng = random.Random(7)
+        ends = (0, 1, LANE_MAX - 1, LANE_MAX)
+        vectors = [tuple(rng.choice(ends) if rng.random() < 0.7 else rng.randrange(LANE_MAX + 1) for _ in range(4))
+                   for _ in range(5000)]
+        for c in lane_chunks(vectors, 2):
+            for cond, violates in VIOLATES.items():
+                members = lanes(violates(*c.cols), len(c.vectors))  # (vx, vy, vu, vi) = f(∅), f(a), f(b), f(ab)
+                assert members == [bool(violates(*vec)) for vec in c.vectors], cond
+
+    def test_first_function_of_a_bitset(self):
+        vectors = list(islice(surjective_rank_vectors(8), 5000))
+        chunks = list(lane_chunks(vectors, 3))
+        assert [len(c.vectors) for c in chunks] == [4096, 904]
+        c = chunks[1]
+        assert c.vector(c.full) == vectors[4096]
+        assert c.vector(c.full & -(1 << (16 * 903))) == vectors[-1]
+
+    @pytest.mark.parametrize("bad", [(0, 0, 0, LANE_MAX + 1), (0, 0, 0, -1), (0, 0, 0), (0, 0, 0, 0, 0),
+                                     (0, 0, 0, Fraction(1, 2))])
+    def test_rejects_values_outside_the_lanes(self, bad):
+        with pytest.raises(ValueError, match="0..127"):
+            list(lane_chunks([(0, 1, 2, 3), bad], 2))
 
 
 def _run_python(code, limit_bytes=None):

@@ -50,6 +50,10 @@ class TestGroundSet:
             GroundSet(("a", ""))
         with pytest.raises(ValueError):
             GroundSet(("a,b",))
+        for name in (" a", "a ", "\ta", "a\n"):
+            with pytest.raises(ValueError, match="whitespace"):
+                GroundSet((name, "b"))
+        assert GroundSet(("a b", "c")).mask_of(" a b ,c") == 3
 
     def test_mask_of(self):
         g = GroundSet(("a", "b", "c"))

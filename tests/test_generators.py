@@ -270,3 +270,19 @@ class TestSearchWitness:
     def test_cap(self):
         with pytest.raises(ValueError, match="capped"):
             search_witness(4, "Q1")
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("source", [
+        "OrdinarySubmodular",
+        "!OrdinarySubmodular",
+        "Q1 & !OrdinarySubmodular",
+        "Injective",
+        "Injective & !Q3",
+        "!Injective & !OrdinarySubmodular & Qh",
+        "Quasi & !Ordinary",
+    ])
+    def test_ordinary_and_injective_match_classify(self, n, source):
+        p = parse_predicate(source)
+        want = next((f.values for f in enumerate_weak_orders(n) if p.evaluate(classify(f).flags.__getitem__)), None)
+        found = search_witness(n, p)
+        assert (found and found.values) == want

@@ -2,10 +2,12 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ordsub import (
+    GroundSet,
     OrderedCodomain,
+    SetFunction,
     chain_to_json,
     load_chain,
     load_set_function,
@@ -120,6 +122,27 @@ class TestSetFunctionFormat:
         assert g.values == f.values
         assert g.codomain == f.codomain
         assert g.ground.elements == f.ground.elements
+
+
+    @given(st.lists(st.text(max_size=4), min_size=1, max_size=3), st.data())
+    def test_any_accepted_names_round_trip(self, names, data):
+        # every name GroundSet accepts must survive both file forms, as JSON text
+        try:
+            ground = GroundSet(tuple(names))
+        except ValueError:
+            assume(False)
+        kind = data.draw(st.sampled_from(["integer", "rational", "labels"]))
+        if kind == "labels":
+            labels = data.draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+            cod = OrderedCodomain("labels", tuple(labels))
+            value = st.sampled_from(cod.label_order)
+        else:
+            cod = OrderedCodomain(kind)
+            value = st.integers(-10**20, 10**20) if kind == "integer" else st.fractions(max_denominator=10**6)
+        f = SetFunction(ground, cod, tuple(data.draw(st.lists(value, min_size=ground.size, max_size=ground.size))))
+        for form in ("dense", "sparse"):
+            g = parse_set_function(json.loads(json.dumps(set_function_to_json(f, form=form))))
+            assert g == f
 
 
 class TestChainFormat:
