@@ -39,21 +39,13 @@ def _emit(args: argparse.Namespace, command: str, inputs: dict, results: dict, s
     return status
 
 
-def _load(path: str) -> SetFunction:
-    return load_set_function(path)
-
-
-def _subset_mask(f: SetFunction, text: str) -> int:
-    return f.ground.mask_of(text)
-
-
 def _fmt_subset(f: SetFunction, mask: int) -> str:
     s = f.ground.subset_str(mask)
     return "{" + s + "}"
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    f = _load(args.input)
+    f = load_set_function(args.input)
     report = classify(f)
     results = report.to_json(f, include_witnesses=args.witness)
     human = ["condition            holds"]
@@ -71,7 +63,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_minimize(args: argparse.Namespace) -> int:
-    f = _load(args.input)
+    f = load_set_function(args.input)
     if args.mode == "brute":
         result = argmin(f)
         human = [
@@ -79,7 +71,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
             f"min value: {result.min_value.display()}",
         ]
         return _emit(args, "minimize", {"input": args.input, "mode": "brute"}, result.to_json(f), 0, human)
-    start = _subset_mask(f, args.start)
+    start = f.ground.mask_of(args.start)
     trace = interval_descent(f, start)
     human = ["descent trace:"]
     for m, v in trace.steps:
@@ -100,8 +92,8 @@ def cmd_minimize(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    f = _load(args.input)
-    point = _subset_mask(f, args.point)
+    f = load_set_function(args.input)
+    point = f.ground.mask_of(args.point)
     cert = certify_global_min(f, point)
     status = 0 if cert.is_global else 1
     human = [
@@ -115,7 +107,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_hierarchy(args: argparse.Namespace) -> int:
-    f = _load(args.input)
+    f = load_set_function(args.input)
     lv = levels(f)
     chain = family_chain(f)
     witness = check_qh(f)
@@ -143,8 +135,8 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
 
 
 def cmd_constrained(args: argparse.Namespace) -> int:
-    phi = _load(args.objective)
-    f = _load(args.constraint)
+    phi = load_set_function(args.objective)
+    f = load_set_function(args.constraint)
     result = constrained_minimize(phi, f, args.k)
     human = [
         f"feasible subsets (f > {result.threshold.display()}): {result.feasible_count}",
@@ -242,51 +234,50 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
-    common.add_argument("--witness", action="store_true", help="include violation witnesses")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
 
     parser = argparse.ArgumentParser(
         prog="ordsub",
         description="Classify, minimize and verify ordinally submodular set functions.",
-        parents=[common],
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("classify", parents=[common], help="report which conditions a function satisfies")
+    p = sub.add_parser("classify", parents=[report], help="report which conditions a function satisfies")
     p.add_argument("input", help="set-function JSON file")
+    p.add_argument("--witness", action="store_true", help="include violation witnesses")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("minimize", parents=[common], help="global argmin, by scan or interval descent")
+    p = sub.add_parser("minimize", parents=[report], help="global argmin, by scan or interval descent")
     p.add_argument("input")
     p.add_argument("--mode", choices=("brute", "descent"), default="brute")
     p.add_argument("--start", default="", metavar="SUBSET",
                    help="descent start, comma-joined element names ('' is the empty set)")
     p.set_defaults(func=cmd_minimize)
 
-    p = sub.add_parser("certify", parents=[common], help="certify a point as a global minimizer")
+    p = sub.add_parser("certify", parents=[report], help="certify a point as a global minimizer")
     p.add_argument("input")
     p.add_argument("--point", required=True, metavar="SUBSET")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("hierarchy", parents=[common], help="level values, nested families, Qh verdict")
+    p = sub.add_parser("hierarchy", parents=[report], help="level values, nested families, Qh verdict")
     p.add_argument("input")
     p.set_defaults(func=cmd_hierarchy)
 
-    p = sub.add_parser("constrained", parents=[common],
+    p = sub.add_parser("constrained", parents=[report],
                        help="minimize an objective over {X : constraint(X) > k-th level}")
     p.add_argument("objective")
     p.add_argument("constraint")
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=cmd_constrained)
 
-    p = sub.add_parser("verify", parents=[common], help="run an exhaustive verification suite")
+    p = sub.add_parser("verify", parents=[report], help="run an exhaustive verification suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("generate", parents=[common], help="emit a structured or random function")
+    p = sub.add_parser("generate", help="emit a structured or random function")
     p.add_argument("kind", choices=("cut", "const", "modular", "random"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--edges", default="", help="cut edges, e.g. 0-1:1,1-2:1/2")
@@ -301,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", choices=("dense", "sparse"), default="dense")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("search", parents=[common], help="find a function matching a class predicate")
+    p = sub.add_parser("search", help="find a function matching a class predicate")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--predicate", required=True, help="e.g. 'Q4 & !Q3' or 'Qh & !(Q1 & Q2)'")
     p.add_argument("-o", "--output", default=None)

@@ -14,32 +14,29 @@ Quasisubmodular means Q1 and Q2 jointly.  Each condition is defined once, in
 ``VIOLATES``, as the negation of its disjunctive form: a predicate on the
 four lattice values (vx, vy, vu, vi) = (f(X), f(Y), f(X∪Y), f(X∩Y)) written
 with comparisons, ``&``, ``|`` and ``+`` only.  On Python values it decides
-one pair (``holds_at_pair``, ``ConditionWitness.reproduces``); on numpy
-arrays it decides a block of pairs; on ``Lanes`` it decides one pair for a
-whole chunk of functions.  Vacuous hypotheses count as satisfied.
+one pair (``holds_at_pair``, ``ConditionWitness.reproduces``); on ``Lanes``
+it decides many at once.  Vacuous hypotheses count as satisfied.
 
-Checks on a SetFunction run through the rank kernel (``kernel``).  The values
-are mapped once to dense int32 ranks, which is exact for every ordinal
-condition since they depend on order alone; ordinary submodularity uses the
-values as exact integers instead (rationals scaled by the LCM of their
-denominators).  The kernel scans blocks of rows X against every Y, in
-O(block + 2**n) memory, and evaluates all requested conditions in one pass.
-Comparable pairs can never violate a condition, so only incomparable pairs
-are examined.  The witness is the lexicographically first violating (X, Y)
-by mask, so witnesses are deterministic.  numpy is imported by the first
-such check, not by this module.
+``Lanes`` packs many values into one Python int, one lane each, and is the
+only scan engine.  Its lanes run across Y for a single function: each row X
+is one predicate call over every Y (``_row_scan``), so memory is O(2**n)
+and time O(4**n).  The values are mapped once to dense ranks, which is
+exact for every ordinal condition since they depend on order alone;
+ordinary submodularity uses the values as exact nonnegative integers
+instead (rationals scaled by the LCM of their denominators, less their
+minimum).  The witness is the lexicographically first violating (X, Y) by
+mask, so witnesses are deterministic.
 
-The exhaustive suites and witness search, at n <= ENUMERATION_CAP, check
-hundreds of thousands of functions on 8 values each, where a numpy call per
-function costs more than the check.  They run ``VIOLATES`` bit-sliced
-instead, in pure Python (``lane_chunks``): CHUNK enumerated rank vectors
-become one int per subset with a 16-bit lane per function, and each
-predicate call answers for every function of the chunk at once.
+For the exhaustive suites and witness search, at n <= ENUMERATION_CAP, the
+lanes run across functions instead (``lane_chunks``): CHUNK enumerated rank
+vectors become one int per subset with a 16-bit lane per function, and each
+predicate call answers at one pair for every function of the chunk.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
@@ -76,8 +73,8 @@ PAIRWISE_CONDITIONS = (
 
 
 # Violation predicates on (f(X), f(Y), f(X∪Y), f(X∩Y)).  The operands are
-# Python values or numpy arrays alike, so only comparisons, & and | appear;
-# Q4's max(vx, vy) < min(vu, vi) is spelled as four comparisons for that reason.
+# Python values or Lanes alike, so only comparisons, &, | and + appear; Q4's
+# max(vx, vy) < min(vu, vi) is spelled as four comparisons for that reason.
 VIOLATES: dict[ConditionId, Callable] = {
     ConditionId.Q1: lambda vx, vy, vu, vi: (vx <= vi) & (vu > vy),
     ConditionId.Q2: lambda vx, vy, vu, vi: (vx < vi) & (vu >= vy),
@@ -104,23 +101,24 @@ def incomparable_pair_table(n: int) -> tuple[Pair, ...]:
     )
 
 
-# Bit-sliced evaluation of VIOLATES over many small functions at once.  A
-# chunk of rank vectors becomes one Python int per subset, holding one 16-bit
-# lane per function.  Every comparison of two such ints answers in the guard
-# bit (bit 8) of each lane, so a predicate returns the bitset of the chunk's
-# functions that violate it at one pair.  Values stay in 0..LANE_MAX, so a
-# value, or the sum of two, never reaches the guard bit.
+# Bit-sliced evaluation of VIOLATES.  Many values share one Python int, one
+# lane each.  Every comparison of two such ints answers in the guard bit of
+# each lane, so a predicate returns the bitset of lanes that violate it.  A
+# value, or the sum of two, stays below the guard bit.
 
+# lane_chunks: functions per chunk, and the largest value a 16-bit lane takes
 CHUNK = 4096
 LANE_MAX = 127
 
 
 class Lanes:
-    """The values at one subset of a chunk of functions, one 16-bit lane each.
+    """Values packed into lanes of one int, with the guard bit of every lane in ``guard``.
 
-    ``guard`` holds the guard bit of every lane.  ``a <= b`` is computed as
-    ((b | guard) - a) & guard: a lane of b - a borrows from its guard bit
-    exactly when a > b.  The other comparisons derive from it.
+    The lanes hold a chunk of functions at one subset (16 bits each, guard
+    bit 8) or one function at every Y (as wide as its largest value needs,
+    guard bit on top).  ``a <= b`` is computed as ((b | guard) - a) & guard:
+    a lane of b - a borrows from its guard bit exactly when a > b.  The
+    other comparisons derive from it.
     """
 
     __slots__ = ("bits", "guard")
@@ -218,6 +216,75 @@ def lane_chunks(vectors: Iterable[Sequence[int]], n: int) -> Iterator[LaneChunk]
         yield LaneChunk(chunk, cols, n, full)
 
 
+def _ranks(values: Sequence[RawKey]) -> list[int]:
+    """Each value's position among the sorted distinct values: exact for every ordinal condition."""
+    rank = {v: r for r, v in enumerate(sorted(set(values)))}
+    return [rank[v] for v in values]
+
+
+def _exact_ints(values: Sequence[RawKey]) -> list[int]:
+    """The values times the LCM of their denominators, less their minimum.
+
+    Order and the comparison of sums of two are kept, as ordinary
+    submodularity needs, and none is negative, as lanes need.
+    """
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    low = min(ints)
+    return [v - low for v in ints]
+
+
+def _row_scan(
+    n: int, vals: Sequence[int], conds: Sequence[ConditionId], first_only: bool
+) -> Iterator[tuple[int, ConditionId, int]]:
+    """Each incomparable (X, Y) violating one of conds, as (X, cond, Y).
+
+    Rows X ascend, then conds in their order, then Y ascends.  With
+    first_only, only each condition's first pair, and the scan ends when
+    every condition has one.  vals are nonnegative ints, one per mask.
+
+    A row is one predicate call on Lanes over every Y, lane Y holding
+    f(Y), f(X∪Y) or f(X∩Y), each lane w bits wide with its guard bit on
+    top.  Comparable pairs are not masked out: there the values are
+    (vx, vy, vy, vx) or (vx, vy, vx, vy), where no pairwise predicate holds
+    (Injective, which is not pairwise, never comes here).  So a row's lowest
+    hit is its first incomparable violating Y.
+    """
+    size = 1 << n
+    w = max(vals).bit_length() + 2
+    ones = int(("0" * (w - 1) + "1") * size, 2)
+    guard = ones << (w - 1)
+    full = (1 << w * size) - 1
+    # hi[j] and lo[j]: the lanes whose index has bit j set, and clear
+    hi = [int(("1" * (w << j) + "0" * (w << j)) * (size >> (j + 1)), 2) for j in range(n)]
+    lo = [full ^ h for h in hi]
+    lane = {v: format(v, f"0{w}b") for v in set(vals)}
+    packed = int("".join(map(lane.__getitem__, reversed(vals))), 2)
+    fy = Lanes(packed, guard)
+    todo = list(conds)
+    for x in range(size):
+        u = i = packed
+        for j in range(n):
+            if x >> j & 1:  # lane Y takes f(Y | bit j), then f(X∪Y) after every bit of X
+                t = u & hi[j]
+                u = t | t >> (w << j)
+            else:  # lane Y takes f(Y - bit j), then f(X∩Y) after every bit outside X
+                t = i & lo[j]
+                i = t | t << (w << j)
+        lanes = (Lanes(vals[x] * ones, guard), fy, Lanes(u, guard), Lanes(i, guard))
+        for cond in tuple(todo):
+            hits = VIOLATES[cond](*lanes)
+            while hits:
+                low = hits & -hits
+                yield x, cond, low.bit_length() // w - 1
+                if first_only:
+                    todo.remove(cond)
+                    break
+                hits ^= low
+        if not todo:
+            return
+
+
 @dataclass(frozen=True)
 class ConditionWitness:
     """A pair (X, Y) whose four lattice values violate a condition.
@@ -276,15 +343,13 @@ def holds_at_pair(f: SetFunction, cond: ConditionId, x: int, y: int) -> bool:
 def _first_witnesses(f: SetFunction, conds: Sequence[ConditionId]) -> dict[ConditionId, ConditionWitness]:
     """The first witness of each failing condition in conds, in the order of conds.
 
-    The ordinal conditions share one kernel pass over the ranks.
+    The ordinal conditions share one row scan over the ranks.
     """
-    from . import kernel
-
-    ordinal = {c: VIOLATES[c] for c in conds if c is not ConditionId.ORDINARY}
-    hits = kernel.first_violations(f.n, kernel.dense_ranks(f.values), ordinal) if ordinal else {}
+    ordinal = [c for c in conds if c is not ConditionId.ORDINARY]
+    scans = [(_ranks(f.values), ordinal)] if ordinal else []
     if ConditionId.ORDINARY in conds:
-        ordinary = {ConditionId.ORDINARY: VIOLATES[ConditionId.ORDINARY]}
-        hits.update(kernel.first_violations(f.n, kernel.exact_ints(f.values), ordinary))
+        scans.append((_exact_ints(f.values), [ConditionId.ORDINARY]))
+    hits = {cond: (x, y) for vals, group in scans for x, cond, y in _row_scan(f.n, vals, group, True)}
     return {cond: _witness_at(f, cond, *hits[cond]) for cond in conds if cond in hits}
 
 
@@ -304,12 +369,10 @@ def iter_witnesses(f: SetFunction, cond: ConditionId) -> Iterator[ConditionWitne
 
     A QuasiSubmodular witness is tagged as by ``check_condition``.
     """
-    from . import kernel
-
     if cond is ConditionId.INJECTIVE:
         raise ValueError("injectivity also concerns comparable pairs; see injective_witness")
-    vals = kernel.exact_ints(f.values) if cond is ConditionId.ORDINARY else kernel.dense_ranks(f.values)
-    for x, y in kernel.all_violations(f.n, vals, VIOLATES[cond]):
+    vals = _exact_ints(f.values) if cond is ConditionId.ORDINARY else _ranks(f.values)
+    for x, _, y in _row_scan(f.n, vals, (cond,), False):
         yield _witness_at(f, cond, x, y)
 
 

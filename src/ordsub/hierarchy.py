@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conditions import ConditionId, ConditionWitness, _make_witness
+from .conditions import ConditionId, ConditionWitness, check_condition
 from .core import INTEGERS, GroundSet, OrdinalValue, SetFunction
 
 
@@ -70,33 +70,8 @@ def family_chain(f: SetFunction) -> LevelChain:
 
 
 def check_qh(f: SetFunction) -> ConditionWitness | None:
-    """Scan equal-value pairs for the Qh condition; None means it holds.
-
-    Independent of the generic pairwise scanner: subsets are grouped by value
-    and only pairs inside a group are examined.  The reported witness is still
-    the lexicographically smallest violating (X, Y).
-    """
-    groups: dict[object, list[int]] = {}
-    for m, v in enumerate(f.values):
-        groups.setdefault(v, []).append(m)
-    vals = f.values
-    best: tuple[int, int] | None = None
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        for x in members:
-            vx = vals[x]
-            for y in members:
-                if x == y:
-                    continue
-                vu, vi = vals[x | y], vals[x & y]
-                if vu >= vx and vi >= vx and not (vu == vx and vi == vx):
-                    if best is None or (x, y) < best:
-                        best = (x, y)
-    if best is None:
-        return None
-    x, y = best
-    return _make_witness(f, ConditionId.QH, (x, y, x | y, x & y))
+    """The first witness of the equal-value condition Qh; None means it holds."""
+    return check_condition(f, ConditionId.QH)
 
 
 def qh_from_chain(ground: GroundSet, chain: LevelChain) -> SetFunction:

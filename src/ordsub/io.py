@@ -1,4 +1,4 @@
-"""JSON file formats for set functions and family chains.
+"""JSON file formats for set functions, and the family chain written by ``hierarchy --json``.
 
 Set function, dense form (``values_dense[i]`` is the value at mask i):
 
@@ -14,7 +14,7 @@ Sparse form keys subsets by comma-joined element names ('' is the empty set):
 
 Rational values are encoded as [num, den]; a labels codomain carries
 ``label_order`` and encodes values as label strings.  A missing codomain
-means integers.  Chains:
+means integers.  Chains are output only (``chain_to_json``); nothing reads them:
 
     {"ground_set": ["a", "b"], "families": [[], ["", "a,b"], ["", "a", "b", "a,b"]]}
 """
@@ -131,46 +131,9 @@ def load_set_function(path: str | Path) -> SetFunction:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def parse_chain(obj: object) -> tuple[GroundSet, LevelChain]:
-    """Decode a chain file: families as lists of sparse subset keys."""
-    if not isinstance(obj, dict):
-        raise ValueError("chain file: expected a JSON object at the top level")
-    if "ground_set" not in obj:
-        raise ValueError("chain file: missing 'ground_set'")
-    ground = _ground_from_json(obj["ground_set"])
-    fams_obj = obj.get("families")
-    if not isinstance(fams_obj, list):
-        raise ValueError("chain file: 'families' must be a list of subset-key lists")
-    families = []
-    for i, fam in enumerate(fams_obj):
-        if not isinstance(fam, list):
-            raise ValueError(f"families[{i}]: expected a list of subset keys")
-        masks = []
-        for key in fam:
-            if not isinstance(key, str):
-                raise ValueError(f"families[{i}]: subset keys must be strings, got {key!r}")
-            try:
-                masks.append(ground.mask_of(key))
-            except ValueError as exc:
-                raise ValueError(f"families[{i}][{key!r}]: {exc}") from None
-        families.append(tuple(sorted(masks)))
-    return ground, LevelChain(tuple(families))
-
-
 def chain_to_json(ground: GroundSet, chain: LevelChain) -> dict:
+    """The families as lists of sparse subset keys."""
     return {
         "ground_set": list(ground.elements),
         "families": [[ground.subset_str(m) for m in fam] for fam in chain.families],
     }
-
-
-def load_chain(path: str | Path) -> tuple[GroundSet, LevelChain]:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    try:
-        return parse_chain(obj)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

@@ -6,6 +6,7 @@ oracles, Stirling-sum counts, hand derivation on n = 2 tables) before being
 frozen.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -34,7 +35,6 @@ from ordsub import (
     search_witness,
     set_function_to_json,
 )
-from ordsub import kernel
 
 from conftest import intfn, run_cli
 
@@ -325,24 +325,25 @@ def test_c12_hierarchy_round_trip():
 
 
 def test_c13_cli_determinism_across_threads(tmp_path, monkeypatch):
-    # the set-function scans once split across --threads workers now split
-    # into row blocks; the finest split (one row per block) must not change output
-    f = intfn([1, 0, 2, 3])
-    path = tmp_path / "r3.json"
-    path.write_text(json.dumps(set_function_to_json(f)))
-    commands = [
-        ("classify", str(path), "--json", "--witness"),
-        ("minimize", str(path), "--mode", "descent", "--start", "b", "--json"),
-        ("minimize", str(path), "--mode", "brute", "--json"),
-        ("certify", str(path), "--point", "a", "--json"),
-        ("verify", "--suite", "lemma1", "--n", "2", "--json"),
-        ("verify", "--suite", "theorem2", "--n", "2", "--json"),
-        ("search", "--n", "2", "--predicate", "Q4&!Q3"),
-        ("hierarchy", str(path), "--json"),
+    # SHA-256 prefixes of each output, pinned from the numpy block scan that
+    # the row scan replaced; every command runs twice
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r3.json").write_text(json.dumps(set_function_to_json(intfn([1, 0, 2, 3]))))
+    pinned = [
+        (("classify", "r3.json", "--json", "--witness"), 0, "793adf87cd47c904"),
+        (("minimize", "r3.json", "--mode", "descent", "--start", "b", "--json"), 0, "f6d71790a457a50c"),
+        (("minimize", "r3.json", "--mode", "brute", "--json"), 0, "654c434a617f4eac"),
+        (("certify", "r3.json", "--point", "a", "--json"), 0, "de9af0453ba3c8d7"),
+        (("verify", "--suite", "lemma1", "--n", "2", "--json"), 0, "40f2dfa1f0bfd1a1"),
+        (("verify", "--suite", "theorem2", "--n", "2", "--json"), 0, "f0e7bc00fd8d34d0"),
+        (("search", "--n", "2", "--predicate", "Q4&!Q3"), 0, "dc0eeea70cc7f5a7"),
+        (("hierarchy", "r3.json", "--json"), 0, "1f25bba19218d700"),
     ]
-    default = [run_cli(*cmd)[:2] for cmd in commands]
-    monkeypatch.setattr(kernel, "FIRST_BLOCK", 1)
-    monkeypatch.setattr(kernel, "BLOCK", 1)
-    bad = [cmd[0] for cmd, want in zip(commands, default) if run_cli(*cmd)[:2] != want]
-    report(13, "witness-producing and descent commands are bit-identical across scan splits", not bad,
-           "differs: " + ", ".join(bad) if bad else f"{len(commands)} commands x default vs one-row blocks")
+
+    def digest(cmd):
+        code, out, _ = run_cli(*cmd)
+        return code, hashlib.sha256(out.encode()).hexdigest()[:16]
+
+    bad = [cmd[0] for cmd, *want in pinned for _ in range(2) if digest(cmd) != tuple(want)]
+    report(13, "witness-producing and descent commands repeat their pinned outputs byte for byte", not bad,
+           "differs: " + ", ".join(bad) if bad else f"{len(pinned)} commands x 2 runs")

@@ -2,8 +2,8 @@
 
 The oracle below evaluates the conditions in their implication forms, one
 pair at a time, while the library evaluates the violation predicates of
-``VIOLATES`` over blocks of pairs (the numpy kernel) or over chunks of
-functions (the bit-sliced lanes); they must agree everywhere.
+``VIOLATES`` bit-sliced, on lanes across every Y of a row X for one function
+or across a chunk of functions; they must agree everywhere.
 """
 
 import json
@@ -40,8 +40,9 @@ from ordsub import (
     random_function,
     set_function_to_json,
 )
-from ordsub import kernel
-from ordsub.conditions import LANE_MAX, VIOLATES, ClassReport, incomparable_pair_table, injective_witness, lane_chunks
+from ordsub.conditions import (
+    LANE_MAX, VIOLATES, ClassReport, _exact_ints, incomparable_pair_table, injective_witness, lane_chunks,
+)
 from ordsub.generators import surjective_rank_vectors
 
 from conftest import intfn
@@ -165,15 +166,18 @@ class TestCheckCondition:
         runs = [check_condition(f_r3, ConditionId.Q3) for _ in range(3)]
         assert all(w == runs[0] for w in runs)
 
-    def test_threads_identical(self, monkeypatch, f_r3, f_q1nq2):
-        # the scan was once split across worker threads and is now split into
-        # row blocks; no split may move a witness
+    def test_threads_identical(self, f_r3, f_q1nq2):
+        # (X, Y, reported condition) for Q1..Q4, Qh and QuasiSubmodular, pinned
+        # from the numpy block scan that the row scan replaced
         fs = (f_r3, f_q1nq2, random_function(6, distinct_values=4, seed=5))
-        conds = PAIRWISE + [ConditionId.QUASI]
-        want = [[check_condition(f, c) for c in conds] for f in fs]
-        monkeypatch.setattr(kernel, "FIRST_BLOCK", 1)
-        monkeypatch.setattr(kernel, "BLOCK", 1)
-        assert [[check_condition(f, c) for c in conds] for f in fs] == want
+        want = [
+            [(1, 2, "Q1"), (1, 2, "Q2"), (1, 2, "Q3"), None, None, (1, 2, "Q2")],
+            [None, (1, 2, "Q2"), None, None, None, (1, 2, "Q2")],
+            [(1, 2, "Q1"), (4, 18, "Q2"), (4, 26, "Q3"), (4, 34, "Q4"), (1, 2, "Qh"), (1, 2, "Q1")],
+        ]
+        for f, pinned in zip(fs, want):
+            ws = [check_condition(f, c) for c in PAIRWISE + [ConditionId.QUASI]]
+            assert [w and (w.x, w.y, w.condition.value) for w in ws] == pinned
 
     def test_witness_reproduces(self):
         for f in enumerate_weak_orders(2):
@@ -314,13 +318,21 @@ class TestClassify:
         r = classify(f_r3)
         assert set(r.witnesses) == {c for c, v in r.flags.items() if v is False}
 
-    def test_threads_identical(self, monkeypatch, f_r3):
-        # one row per block, the finest split of the scan
+    def test_threads_identical(self, f_r3):
+        # the failed conditions and their witnesses, pinned from the numpy
+        # block scan that the row scan replaced; every other flag is True
         fs = (f_r3, random_function(6, distinct_values=4, seed=5))
-        want = [(classify(f).flags, classify(f).witnesses) for f in fs]
-        monkeypatch.setattr(kernel, "FIRST_BLOCK", 1)
-        monkeypatch.setattr(kernel, "BLOCK", 1)
-        assert [(classify(f).flags, classify(f).witnesses) for f in fs] == want
+        want = [
+            {"Q1": (1, 2, "Q1"), "Q2": (1, 2, "Q2"), "Q3": (1, 2, "Q3"), "QuasiSubmodular": (1, 2, "Q2"),
+             "OrdinarySubmodular": (1, 2, "OrdinarySubmodular")},
+            {"Q1": (1, 2, "Q1"), "Q2": (4, 18, "Q2"), "Q3": (4, 26, "Q3"), "Q4": (4, 34, "Q4"), "Qh": (1, 2, "Qh"),
+             "QuasiSubmodular": (1, 2, "Q1"), "OrdinarySubmodular": (1, 2, "OrdinarySubmodular"),
+             "Injective": (0, 1, "Injective")},
+        ]
+        for f, pinned in zip(fs, want):
+            r = classify(f)
+            assert {c.value: (w.x, w.y, w.condition.value) for c, w in r.witnesses.items()} == pinned
+            assert {c.value for c, flag in r.flags.items() if flag} == {c.value for c in ConditionId} - set(pinned)
 
     def test_report_json(self, f_r3):
         out = classify(f_r3).to_json(f_r3, include_witnesses=True)
@@ -428,7 +440,7 @@ class TestRestrictPreservesClasses:
             self.check_function(f, boxes)
 
 
-# Kernel parity: the numpy rank kernel against the oracle, which walks the
+# Kernel parity: the row scan on lanes against the oracle, which walks the
 # incomparable pairs one at a time in lexicographic order.
 
 def lazy_incomparable_pairs(n):
@@ -524,24 +536,26 @@ class TestKernelParity:
             assert diamond_submodular(f)
             assert all(hit is None for hit in kernel_hits(f).values())
 
-    @pytest.mark.parametrize("first, block", [(1, 1), (1, 7), (1, 1 << 18), (64, 64), (1 << 10, 1 << 12)])
-    def test_block_size_does_not_move_witnesses(self, monkeypatch, first, block):
+    def test_late_row_witnesses(self):
         # a modular function lowered at one late subset fails first at a late
-        # row X, so block boundaries fall before the witness
-        cases = []
-        for n, mask in ((6, 0b100000), (6, 0b111110), (8, 0b10000001), (10, 0b1111111110)):
-            base = modular_plus_concave(n, list(range(1, n + 1)), [0] * (n + 1))
-            vals = list(base.values)
+        # row X; the 2**70 cut needs lanes over 70 bits wide
+        def lowered(n, mask):
+            vals = list(modular_plus_concave(n, list(range(1, n + 1)), [0] * (n + 1)).values)
             vals[mask] = -1
-            cases.append(intfn(vals))
+            return intfn(vals)
+
+        cut = cut_function(6, [(k, k + 1, 2**70) for k in range(5)])
+        cases = [lowered(n, mask) for n, mask in ((6, 0b100000), (6, 0b111110), (8, 0b10000001), (8, 0b11111110))]
+        cases.append(SetFunction(cut.ground, cut.codomain, cut.values[:-2] + (-(2**71), cut.values[-1])))
         cases.append(random_function(9, distinct_values=5, seed=3))
-        expected = [kernel_hits(f) for f in cases]
-        monkeypatch.setattr(kernel, "FIRST_BLOCK", first)
-        monkeypatch.setattr(kernel, "BLOCK", block)
-        for f, want in zip(cases, expected):
-            assert kernel_hits(f) == want
-            if f.n <= 8:
-                assert_matches_oracle(f)
+        for f in cases:
+            assert_matches_oracle(f)
+        # the oracle takes seconds at n = 10, so these witnesses are pinned from the numpy block scan
+        q, o = ((1022, 1), ConditionId.Q2), ((1, 1022), ConditionId.ORDINARY)
+        assert kernel_hits(lowered(10, 0b1111111110)) == {
+            ConditionId.Q1: (q[0], ConditionId.Q1), ConditionId.Q2: q, ConditionId.Q3: (q[0], ConditionId.Q3),
+            ConditionId.Q4: None, ConditionId.QH: None, ConditionId.QUASI: q, ConditionId.ORDINARY: o,
+        }
 
     def test_single_checks_match_classify(self):
         # classify scans all conditions in one pass; each single check scans alone
@@ -567,9 +581,10 @@ class TestKernelParity:
                 assert [((w.x, w.y), w.condition) for w in iter_witnesses(f, cond)] == want
 
     def test_exact_ints_overflow_falls_back_to_python_ints(self):
-        assert kernel.exact_ints([1, -(2**61)]).dtype.kind == "i"
-        assert kernel.exact_ints([1, 2**62]).dtype.kind == "O"
-        assert list(kernel.exact_ints([Fraction(1, 3), Fraction(1, 2), 2])) == [2, 3, 12]
+        # scaled by the LCM of the denominators, then shifted to start at 0;
+        # Python ints have no overflow to fall back from
+        assert _exact_ints([Fraction(1, 3), Fraction(1, 2), 2]) == [0, 1, 10]
+        assert _exact_ints([1, -(2**61), 2**62]) == [2**61 + 1, 0, 2**62 + 2**61]
 
 
 # The bit-sliced evaluator: VIOLATES over chunks of functions, one lane each.
@@ -654,18 +669,26 @@ class TestKernelFootprint:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["results"]["OrdinarySubmodular"] is True
 
-    def test_numpy_not_imported_by_version_verify_search(self):
+    def test_numpy_not_imported_by_version_verify_search(self, tmp_path):
+        # nothing in the package imports numpy, whichever subcommand runs
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(set_function_to_json(random_function(6, distinct_values=4, seed=5))))
+        f = str(path)
+        argvs = [
+            ["--version"], ["classify", "--json", "--witness", f], ["minimize", f],
+            ["minimize", "--mode", "descent", "--start", "a,b", f], ["certify", "--point", "", f],
+            ["hierarchy", f], ["constrained", f, f, "--k", "1"], ["verify", "--suite", "lemma1", "--n", "2"],
+            ["generate", "random", "--n", "3"], ["search", "--n", "2", "--predicate", "Q4 & !Q3"],
+        ]
         code = (
             "import contextlib, io, sys\n"
-            "from ordsub import run_suite, search_witness\n"
             "from ordsub.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    try:\n"
-            "        main(['--version'])\n"
-            "    except SystemExit:\n"
-            "        pass\n"
-            "run_suite('lemma1', 2)\n"
-            "search_witness(2, 'Q4 & !Q3')\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        try:\n"
+            "            main(argv)\n"
+            "        except SystemExit:\n"
+            "            pass\n"
             "print('numpy' in sys.modules)\n"
         )
         proc = _run_python(code)

@@ -16,6 +16,7 @@ from ordsub import (
 )
 
 from conftest import intfn
+from test_conditions import scalar_first_hit
 
 
 class TestLevels:
@@ -84,22 +85,19 @@ class TestCheckQh:
         assert [v.key for v in (w.v_x, w.v_y, w.v_union, w.v_inter)] == [0, 0, 1, 1]
         assert w.reproduces()
 
+    @staticmethod
+    def assert_matches_oracle(f):
+        w = check_qh(f)
+        want = scalar_first_hit(ConditionId.QH, f.values, f.n)
+        assert (w and ((w.x, w.y), w.condition)) == want
+
     def test_agrees_with_pairwise_checker_n2(self):
         for f in enumerate_weak_orders(2):
-            a = check_qh(f)
-            b = check_condition(f, ConditionId.QH)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert (a.x, a.y) == (b.x, b.y)
+            self.assert_matches_oracle(f)
 
     def test_agrees_with_pairwise_checker_random_n3(self):
         for seed in range(40):
-            f = random_function(3, distinct_values=(seed % 4) + 1, seed=seed)
-            a = check_qh(f)
-            b = check_condition(f, ConditionId.QH)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert (a.x, a.y) == (b.x, b.y)
+            self.assert_matches_oracle(random_function(3, distinct_values=(seed % 4) + 1, seed=seed))
 
 
 class TestQhFromChain:

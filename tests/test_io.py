@@ -9,9 +9,7 @@ from ordsub import (
     OrderedCodomain,
     SetFunction,
     chain_to_json,
-    load_chain,
     load_set_function,
-    parse_chain,
     parse_set_function,
     random_function,
     set_function_to_json,
@@ -146,28 +144,20 @@ class TestSetFunctionFormat:
 
 
 class TestChainFormat:
+    # chains are output only: hierarchy --json writes them, nothing reads them
     def test_example(self):
-        ground, chain = parse_chain(
-            {"ground_set": ["a", "b"], "families": [[], ["", "a,b"], ["", "a", "b", "a,b"]]}
-        )
-        assert chain.families == ((), (0, 3), (0, 1, 2, 3))
-        assert chain.p == 2
+        from ordsub import LevelChain
+
+        chain = LevelChain(((), (0, 3), (0, 1, 2, 3)))
+        assert chain_to_json(GroundSet(("a", "b")), chain) == {
+            "ground_set": ["a", "b"], "families": [[], ["", "a,b"], ["", "a", "b", "a,b"]],
+        }
 
     def test_round_trip(self, f_card):
         from ordsub import family_chain
 
-        chain = family_chain(f_card)
-        obj = chain_to_json(f_card.ground, chain)
-        ground2, chain2 = parse_chain(obj)
-        assert chain2 == chain
-        assert ground2.elements == f_card.ground.elements
-
-    def test_errors(self, tmp_path):
-        with pytest.raises(ValueError, match="families"):
-            parse_chain({"ground_set": ["a"]})
-        with pytest.raises(ValueError, match=r"families\[0\]"):
-            parse_chain({"ground_set": ["a"], "families": [["z"]]})
-        p = tmp_path / "chain.json"
-        p.write_text(json.dumps({"ground_set": ["a"], "families": [[], ["", "a"]]}))
-        ground, chain = load_chain(p)
-        assert chain.families == ((), (0, 1))
+        # f_card = |X| on {a, b}: levels 0 < 1 < 2
+        assert chain_to_json(f_card.ground, family_chain(f_card)) == {
+            "ground_set": ["a", "b"],
+            "families": [[], [""], ["", "a", "b"], ["", "a", "b", "a,b"]],
+        }

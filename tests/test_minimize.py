@@ -16,9 +16,9 @@ from ordsub import (
     is_interval_local_min,
     is_lower_interval_min,
     lift_to_global,
+    modular_plus_concave,
     random_function,
 )
-from ordsub import kernel
 
 from conftest import intfn
 
@@ -137,16 +137,19 @@ class TestIntervalDescent:
         # the terminal happens to attain the true minimum, but uncertified
         assert f.values[trace.terminal] == min(f.values)
 
-    def test_threads_identical(self, monkeypatch, f_r3):
-        # the certificate's condition checks scan in row blocks; one row per
-        # block must give the same walk and certificate
-        runs = [(f_r3, 2), (random_function(6, distinct_values=5, seed=11), 0b111111)]
-        want = [interval_descent(f, s) for f, s in runs]
-        monkeypatch.setattr(kernel, "FIRST_BLOCK", 1)
-        monkeypatch.setattr(kernel, "BLOCK", 1)
-        for (f, s), a in zip(runs, want):
-            b = interval_descent(f, s)
-            assert a.steps == b.steps and a.certificate == b.certificate
+    def test_threads_identical(self, f_r3):
+        # walks and certificates pinned from the numpy block scan that the
+        # row scan replaced
+        runs = [
+            (f_r3, 2, [2, 0, 1], "Q4+injective"),
+            (random_function(6, distinct_values=5, seed=11), 0b111111, [0b111111], None),
+            (modular_plus_concave(6, [3, -1, 2, -2, 1, -3], [0, 2, 3, 3, 2, 0, -3]), 0, [0, 0b101010], "Q1"),
+        ]
+        for f, start, masks, hypothesis in runs:
+            trace = interval_descent(f, start)
+            assert [m for m, _ in trace.steps] == masks
+            cert = trace.certificate
+            assert (cert.hypothesis, cert.is_global, cert.verified) == (hypothesis, hypothesis is not None, True)
 
 
 class TestCertify:
