@@ -557,6 +557,45 @@ class TestKernelParity:
             ConditionId.Q4: None, ConditionId.QH: None, ConditionId.QUASI: q, ConditionId.ORDINARY: o,
         }
 
+    @pytest.mark.parametrize("first, block", [(1, 1), (1, 7), (1, 1 << 18), (64, 64), (1 << 10, 1 << 12)])
+    def test_block_size_does_not_move_witnesses(self, first, block):
+        # the row scan is lazy: read every scan's witnesses in blocks, `first`
+        # of each and then `block` at a time, with the scans of all cases and
+        # conditions interleaved, and each scan must still give its own list
+        def lowered(n, mask):
+            vals = list(modular_plus_concave(n, list(range(1, n + 1)), [0] * (n + 1)).values)
+            vals[mask] = -1
+            return intfn(vals)
+
+        cut = cut_function(6, [(k, k + 1, 2**70) for k in range(5)])
+        cases = [lowered(n, mask) for n, mask in ((6, 0b100000), (6, 0b111110), (8, 0b10000001), (10, 0b1111111110))]
+        cases.append(SetFunction(cut.ground, cut.codomain, cut.values[:-2] + (-(2**71), cut.values[-1])))
+        cases.append(random_function(6, distinct_values=5, seed=3))
+        keys = [(k, cond) for k in range(len(cases)) for cond in ORDINAL_CHECKS + [ConditionId.ORDINARY]]
+        want = {(k, cond): list(iter_witnesses(cases[k], cond)) for k, cond in keys}
+        live = {(k, cond): iter_witnesses(cases[k], cond) for k, cond in keys}
+        got = {key: [] for key in keys}
+        size = first
+        while live:
+            for key, scan in list(live.items()):
+                part = list(islice(scan, size))
+                got[key] += part
+                if len(part) < size:
+                    del live[key]
+            size = block
+        assert got == want
+        for k, cond in keys:
+            f, ws = cases[k], got[k, cond]
+            assert (((ws[0].x, ws[0].y), ws[0].condition) if ws else None) == kernel_hits(f)[cond]
+            assert all(w.reproduces() for w in ws)
+            if f.n <= 6:
+                expect = []
+                for x, y, u, i in lazy_incomparable_pairs(f.n):
+                    v = (f.values[x], f.values[y], f.values[u], f.values[i])
+                    if not oracle_holds(cond, *v):
+                        expect.append(((x, y), oracle_tag(cond, *v)))
+                assert [((w.x, w.y), w.condition) for w in ws] == expect, (k, cond)
+
     def test_single_checks_match_classify(self):
         # classify scans all conditions in one pass; each single check scans alone
         for seed in range(30):
