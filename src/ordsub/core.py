@@ -275,14 +275,18 @@ class IntervalSublattice:
         return self.lo & mask == self.lo and mask | self.hi == self.hi
 
     def members(self) -> Iterator[int]:
-        """All masks in the interval, in increasing mask order."""
-        positions = [i for i in range(self.free_mask.bit_length()) if self.free_mask >> i & 1]
-        for k in range(1 << len(positions)):
-            m = self.lo
-            for j, pos in enumerate(positions):
-                if k >> j & 1:
-                    m |= 1 << pos
-            yield m
+        """All masks in the interval, in increasing mask order.
+
+        The one walk over an interval: ``sub`` steps through the submasks of
+        the free bits in increasing order, (sub - free) & free being the next.
+        """
+        free = self.free_mask
+        sub = 0
+        while True:
+            yield self.lo | sub
+            if sub == free:
+                return
+            sub = (sub - free) & free
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -390,16 +394,8 @@ class SetFunction:
         interval [X, X] yields a single-point function on an empty ground set.
         """
         self.ground.check_mask(box.hi)
-        positions = [i for i in range(self.ground.n) if box.free_mask >> i & 1]
-        sub_ground = GroundSet(tuple(self.ground.elements[i] for i in positions), allow_empty=True)
-        vals = []
-        for k in range(1 << len(positions)):
-            m = box.lo
-            for j, pos in enumerate(positions):
-                if k >> j & 1:
-                    m |= 1 << pos
-            vals.append(self.values[m])
-        return SetFunction(sub_ground, self.codomain, tuple(vals))
+        sub_ground = GroundSet(self.ground.names_of(box.free_mask), allow_empty=True)
+        return SetFunction(sub_ground, self.codomain, tuple(self.values[m] for m in box.members()))
 
     def distinct_keys(self) -> tuple[RawKey, ...]:
         """The distinct values attained, in increasing order."""

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .conditions import ENUMERATION_CAP, ConditionId, lane_chunks
-from .core import INTEGERS, GroundSet, OrderedCodomain, RawKey, SetFunction, default_elements
+from .core import INTEGERS, RATIONALS, GroundSet, OrderedCodomain, RawKey, SetFunction, default_elements
 
 
 def surjective_rank_vectors(m: int) -> Iterator[tuple[int, ...]]:
@@ -88,22 +88,18 @@ def _check_cap(n: int) -> int:
     return n
 
 
-def _as_function(n: int, vec: Sequence[int]) -> SetFunction:
-    return SetFunction(GroundSet(default_elements(n)), INTEGERS, tuple(vec))
-
-
 def enumerate_weak_orders(n: int) -> Iterator[SetFunction]:
     """Every set function on n elements up to order-isomorphism, as integer ranks."""
     _check_cap(n)
     for vec in surjective_rank_vectors(1 << n):
-        yield _as_function(n, vec)
+        yield SetFunction.from_ints(n, vec)
 
 
 def enumerate_linear_orders(n: int) -> Iterator[SetFunction]:
     """Every injective set function on n elements up to order-isomorphism."""
     _check_cap(n)
     for vec in injective_rank_vectors(1 << n):
-        yield _as_function(n, vec)
+        yield SetFunction.from_ints(n, vec)
 
 
 def _weight_key(w: object, what: str) -> RawKey:
@@ -127,15 +123,9 @@ def cut_function(n: int, edges: Iterable[tuple[int, int, object]]) -> SetFunctio
         if not w > 0:
             raise ValueError(f"edge weights must be positive, got {w}")
         edge_list.append((1 << i, 1 << j, w))
-    rational = any(isinstance(w, Fraction) for _, _, w in edge_list)
-    codomain = OrderedCodomain("rational") if rational else INTEGERS
-    values = []
-    for mask in range(ground.size):
-        total: RawKey = Fraction(0) if rational else 0
-        for bi, bj, w in edge_list:
-            if bool(mask & bi) != bool(mask & bj):
-                total += w
-        values.append(total)
+    codomain = RATIONALS if any(isinstance(w, Fraction) for _, _, w in edge_list) else INTEGERS
+    values = [sum(w for bi, bj, w in edge_list if bool(mask & bi) != bool(mask & bj))
+              for mask in range(ground.size)]
     return SetFunction(ground, codomain, tuple(values))
 
 
@@ -155,15 +145,9 @@ def modular_plus_concave(n: int, weights: Sequence[object], concave: Sequence[ob
     for k in range(n - 1):
         if g[k + 2] - g[k + 1] > g[k + 1] - g[k]:
             raise ValueError(f"sequence is not concave at position {k}: second difference is positive")
-    rational = any(isinstance(v, Fraction) for v in ws + g)
-    codomain = OrderedCodomain("rational") if rational else INTEGERS
-    values = []
-    for mask in range(ground.size):
-        total: RawKey = Fraction(0) if rational else 0
-        for i in range(n):
-            if mask >> i & 1:
-                total += ws[i]
-        values.append(total + g[bin(mask).count("1")])
+    codomain = RATIONALS if any(isinstance(v, Fraction) for v in ws + g) else INTEGERS
+    values = [sum(w for i, w in enumerate(ws) if mask >> i & 1) + g[bin(mask).count("1")]
+              for mask in range(ground.size)]
     return SetFunction(ground, codomain, tuple(values))
 
 
@@ -358,5 +342,5 @@ def search_witness(n: int, predicate: ClassPredicate | str) -> SetFunction | Non
         flags = {cond: c.holds(cond) for cond in predicate.conditions()}
         match = predicate.evaluate(flags.__getitem__, c.full)
         if match:
-            return _as_function(n, c.vector(match))
+            return SetFunction.from_ints(n, c.vector(match))
     return None

@@ -125,6 +125,8 @@ def load_set_function(path: str | Path) -> SetFunction:
         obj = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nests too deeply") from None
     try:
         return parse_set_function(obj)
     except ValueError as exc:

@@ -124,49 +124,24 @@ def _enc_value(v: OrdinalValue) -> object:
     return v.codomain.json_encode(v.key)
 
 
-# Raw kernels; the interval masks are shared with the exhaustive suites.
+def minimal_over(vals: Sequence, x: int, lo: int, hi: int, true: int = True) -> int:
+    """f(X) <= f(Z) for every Z in the interval [lo, hi].
 
-def lower_interval_masks(x: int) -> list[int]:
-    """Masks of the interval [∅, X], ascending."""
-    return list(IntervalSublattice(0, x).members())
-
-
-def upper_interval_masks(x: int, n: int) -> list[int]:
-    """Masks of the interval [X, E], ascending."""
-    return list(IntervalSublattice(x, (1 << n) - 1).members())
-
-
-def raw_is_lower_min(vals: Sequence[RawKey], x: int) -> bool:
-    vx = vals[x]
-    sub = x
-    while True:
-        if vals[sub] < vx:
-            return False
-        if sub == 0:
-            return True
-        sub = (sub - 1) & x
+    On one function's values the result is a bool.  On the columns of a
+    ``LaneChunk``, with ``true`` its ``full``, it is the bitset of the
+    chunk's functions minimal there at X.
+    """
+    out, vx = true, vals[x]
+    for z in IntervalSublattice(lo, hi).members():
+        out &= vx <= vals[z]
+        if not out:
+            break
+    return out
 
 
-def raw_is_upper_min(vals: Sequence[RawKey], x: int, n: int) -> bool:
-    vx = vals[x]
-    free = ((1 << n) - 1) ^ x
-    sub = free
-    while True:
-        if vals[x | sub] < vx:
-            return False
-        if sub == 0:
-            return True
-        sub = (sub - 1) & free
-
-
-def raw_interval_local_min(vals: Sequence[RawKey], x: int, n: int) -> bool:
-    return raw_is_lower_min(vals, x) and raw_is_upper_min(vals, x, n)
-
-
-def raw_min_over(vals: Sequence[RawKey], masks: Sequence[int]) -> tuple[RawKey, int]:
-    """(value, mask) minimum over the given masks; ties resolve to the smallest mask."""
-    best = min((vals[m], m) for m in masks)
-    return best
+def _min_over(vals: Sequence[RawKey], *boxes: IntervalSublattice) -> tuple[RawKey, int]:
+    """(value, mask) minimum over the intervals; ties resolve to the smallest mask."""
+    return min((vals[m], m) for box in boxes for m in box.members())
 
 
 def argmin(f: SetFunction) -> ArgminSet:
@@ -179,13 +154,13 @@ def argmin(f: SetFunction) -> ArgminSet:
 def is_lower_interval_min(f: SetFunction, x: int) -> bool:
     """True iff f(X) <= f(Z) for every Z ⊆ X."""
     f.ground.check_mask(x)
-    return raw_is_lower_min(f.values, x)
+    return minimal_over(f.values, x, 0, x)
 
 
 def is_interval_local_min(f: SetFunction, x: int) -> bool:
     """True iff f(X) <= f(Z) for every Z in [∅, X] ∪ [X, E]."""
     f.ground.check_mask(x)
-    return raw_interval_local_min(f.values, x, f.n)
+    return minimal_over(f.values, x, 0, x) and minimal_over(f.values, x, x, f.ground.full_mask)
 
 
 def lift_to_global(f: SetFunction, x: int, verify: bool = False) -> int:
@@ -196,15 +171,13 @@ def lift_to_global(f: SetFunction, x: int, verify: bool = False) -> int:
     [X, E] can only improve on f(Z* ∪ X).  With ``verify`` set, Q1 is checked
     on f and a failure raises ``HypothesisError``.
     """
-    f.ground.check_mask(x)
-    if not raw_is_lower_min(f.values, x):
+    if not is_lower_interval_min(f, x):
         raise ValueError(f"{f.ground.subset_str(x)!r} is not a minimizer of the lower interval")
     if verify:
         w = check_condition(f, ConditionId.Q1)
         if w is not None:
             raise HypothesisError(f"function does not satisfy Q1; first witness at {w.to_json(f)}")
-    _, mask = raw_min_over(f.values, upper_interval_masks(x, f.n))
-    return mask
+    return _min_over(f.values, IntervalSublattice(x, f.ground.full_mask))[1]
 
 
 def certify_global_min(
@@ -224,8 +197,7 @@ def certify_global_min(
         raise ValueError(f"unknown hypothesis {assume!r}; expected one of {HYPOTHESIS_TAGS}")
     lower = 1 << bin(x).count("1")
     upper = 1 << (f.n - bin(x).count("1"))
-    local = raw_interval_local_min(f.values, x, f.n)
-    if not local:
+    if not is_interval_local_min(f, x):
         return MinimalityCertificate(
             x, lower, upper, None, False, assume is None,
             "not minimal over its lower/upper intervals",
@@ -262,12 +234,11 @@ def interval_descent(f: SetFunction, start: int) -> DescentTrace:
     certificate reports whether a verified hypothesis makes it global.
     """
     f.ground.check_mask(start)
-    vals = f.values
+    vals, full = f.values, f.ground.full_mask
     x = start
     steps = [(x, f.value(x))]
     while True:
-        masks = lower_interval_masks(x) + upper_interval_masks(x, f.n)
-        best_v, best_m = raw_min_over(vals, masks)
+        best_v, best_m = _min_over(vals, IntervalSublattice(0, x), IntervalSublattice(x, full))
         if not best_v < vals[x]:
             break
         x = best_m
@@ -306,7 +277,7 @@ def constrained_minimize(phi: SetFunction, f: SetFunction, k: int) -> Constraine
         raise ValueError(f"k must be in [1, {p - 1}] for {p} distinct constraint values, got {k}")
     threshold = mu[k - 1]
     feasible = [m for m in range(f.size) if f.values[m] > threshold]
-    best, _ = raw_min_over(phi.values, feasible)
+    best = min(phi.values[m] for m in feasible)
     minimizers = tuple(m for m in feasible if phi.values[m] == best)
     return ConstrainedMinimum(
         ArgminSet(minimizers, OrdinalValue(phi.codomain, best)),

@@ -8,10 +8,10 @@ certificates rely on are checked against brute force rather than trusted.
 
 The functions are checked a chunk at a time (``conditions.lane_chunks``):
 each hypothesis and each check of a consequence is a bitset of the chunk's
-functions, built from ``conditions.VIOLATES`` and from lane comparisons of
-values, so no condition is spelled out here a second time.  The first
-violation reported is that of the first violating function in enumeration
-order, at its first failing check in the suite's order.
+functions, built from ``conditions.VIOLATES`` and ``minimize.minimal_over``,
+so no condition is spelled out here a second time.  The first violation
+reported is that of the first violating function in enumeration order, at
+its first failing check in the suite's order.
 
 Suites (names are the CLI tokens):
 
@@ -28,13 +28,12 @@ Suites (names are the CLI tokens):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .conditions import ConditionId, LaneChunk, lane_chunks
+from .core import IntervalSublattice
 from .generators import ENUMERATION_CAP, injective_rank_vectors, surjective_rank_vectors
-from .minimize import lower_interval_masks, upper_interval_masks
-
-SUITE_NAMES = ("lemma1", "lemma1a", "theorem1", "theorem2", "duality", "remark2", "remark5", "qh")
+from .minimize import minimal_over
 
 Q1, Q2, Q3, Q4, QH, QUASI = (ConditionId.Q1, ConditionId.Q2, ConditionId.Q3, ConditionId.Q4,
                              ConditionId.QH, ConditionId.QUASI)
@@ -72,23 +71,17 @@ class SuiteResult:
         }
 
 
-def _minimal(c: LaneChunk, x: int, masks: Iterable[int]) -> int:
-    """The functions with f(X) <= f(Z) for every Z in masks."""
-    out, cx = c.full, c.cols[x]
-    for z in masks:
-        out &= cx <= c.cols[z]
-    return out
-
-
 def _global_minima(c: LaneChunk) -> list[int]:
     """Per subset X: the functions that attain their minimum at X."""
-    return [_minimal(c, x, range(len(c.cols))) for x in range(len(c.cols))]
+    top = len(c.cols) - 1
+    return [minimal_over(c.cols, x, 0, top, c.full) for x in range(top + 1)]
 
 
 def _local_not_global(c: LaneChunk) -> list[int]:
     """Per subset X: the functions minimal over [∅, X] ∪ [X, E] but not at X globally."""
+    top = len(c.cols) - 1
     return [
-        _minimal(c, x, lower_interval_masks(x)) & _minimal(c, x, upper_interval_masks(x, c.n)) & ~g
+        minimal_over(c.cols, x, 0, x, c.full) & minimal_over(c.cols, x, x, top, c.full) & ~g
         for x, g in enumerate(_global_minima(c))
     ]
 
@@ -101,12 +94,13 @@ def _lemma1(c: LaneChunk) -> Outcome:
 
 def _lemma1a(c: LaneChunk) -> Outcome:
     gmin = _global_minima(c)
+    top = len(gmin) - 1
     fails = []
-    for x in range(len(c.cols)):
+    for x in range(top + 1):
         above = 0
-        for z in upper_interval_masks(x, c.n):
+        for z in IntervalSublattice(x, top).members():
             above |= gmin[z]
-        fails.append((_minimal(c, x, lower_interval_masks(x)) & ~above,
+        fails.append((minimal_over(c.cols, x, 0, x, c.full) & ~above,
                       f"Q1 function {{}}: no global minimizer above lower-minimal X={x}"))
     return c.holds(Q1), fails
 
@@ -166,6 +160,8 @@ _SUITES: dict[str, Callable[[LaneChunk], Outcome]] = {
     "remark5": _remark5,
     "qh": _qh,
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def suite_vectors(suite: str, n: int) -> Iterator[Vector]:

@@ -1,13 +1,15 @@
+import hashlib
 import json
 
 import pytest
-
-import hashlib
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ordsub import parse_set_function, random_function, set_function_to_json
 from ordsub.cli import main
 
 from conftest import intfn, run_cli
+
+DEEP = "[" * 100000 + "]" * 100000  # nests deeper than the JSON parser goes
 
 
 @pytest.fixture
@@ -59,6 +61,15 @@ class TestClassify:
         code, _, err = run_cli("classify", str(p))
         assert code == 2
         assert "values_dense[1]" in err
+
+    @pytest.mark.parametrize("text", [DEEP, '{"ground_set": ["a"], "values_dense": [0, ' + DEEP + "]}"],
+                             ids=["top-level", "in-values-dense"])
+    def test_deeply_nested_json(self, tmp_path, text):
+        p = tmp_path / "deep.json"
+        p.write_text(text)
+        code, out, err = run_cli("classify", str(p))
+        assert (code, out) == (2, "")
+        assert err == f"error: {p}: JSON nests too deeply\n"
 
 
 class TestMinimize:
@@ -293,3 +304,75 @@ class TestDeterminismAcrossThreads:
         a = run_cli("classify", r3_file, "--json")
         b = run_cli("classify", r3_file, "--json")
         assert a == b
+
+
+# Set-function files with at most one fault each, of every kind the loader
+# has to reject: element names that are bad, duplicated, hold commas or are
+# padded with whitespace; unknown codomains and empty label orders; values
+# that are floats, bools, zero-denominator rationals, unknown labels or
+# lists; tables of the wrong length; nesting deeper than the JSON parser goes.
+GOOD_VALUES = {
+    "integer": st.integers(-3, 3),
+    "rational": st.one_of(st.integers(-3, 3), st.tuples(st.integers(-3, 3), st.integers(1, 3)).map(list)),
+    "labels": st.sampled_from(["lo", "hi"]),
+}
+BAD_NAMES = st.sampled_from(["", " a", "b ", "a,b", "\tc", "a", 1, None])
+BAD_GROUNDS = st.sampled_from(["a", [], None, {}])
+BAD_CODOMAINS = st.sampled_from([
+    {"kind": "labels", "label_order": []}, {"kind": "labels"}, {"kind": "labels", "label_order": ["lo", 1]},
+    {"kind": "real"}, {"kind": 3}, {}, "integer",
+])
+BAD_VALUES = st.sampled_from([0.5, 1.0, True, None, [1, 0], [1, 2, 3], ["a", 1], "zz", "", [[0]], "DEEP"])
+BAD_KEYS = st.sampled_from(["zz", "a,a", "a,", ","])
+
+
+@st.composite
+def fuzzed_files(draw):
+    fault = draw(st.sampled_from([None, None, None, "name", "ground", "codomain", "value", "length", "key", "top"]))
+    if fault == "top":
+        return DEEP
+    ground = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    kind = draw(st.sampled_from(sorted(GOOD_VALUES)))
+    values = draw(st.lists(GOOD_VALUES[kind], min_size=1 << len(ground), max_size=1 << len(ground)))
+    keys = [",".join(e for i, e in enumerate(ground) if m >> i & 1) for m in range(1 << len(ground))]
+    codomain = {"kind": kind, "label_order": ["lo", "hi"]} if kind == "labels" else {"kind": kind}
+    obj = {"ground_set": list(ground), "codomain": codomain}
+    if kind == "integer" and draw(st.booleans()):
+        del obj["codomain"]
+    if fault == "name":
+        obj["ground_set"].insert(draw(st.integers(0, len(ground))), draw(BAD_NAMES))
+    elif fault == "ground":
+        obj["ground_set"] = draw(BAD_GROUNDS)
+    elif fault == "codomain":
+        obj["codomain"] = draw(BAD_CODOMAINS)
+    elif fault == "value":
+        values[draw(st.integers(0, len(values) - 1))] = draw(BAD_VALUES)
+    elif fault == "length":
+        values = values[1:] if draw(st.booleans()) else values + values[:1]
+    elif fault == "key":
+        keys[draw(st.integers(0, len(keys) - 1))] = draw(BAD_KEYS)
+    if fault != "key" and draw(st.booleans()):
+        obj["values_dense"] = values
+    else:
+        obj["values"] = dict(zip(keys, values))
+    return json.dumps(obj).replace('"DEEP"', DEEP)
+
+
+COMMANDS = st.sampled_from([
+    ["certify", "--point", ""], ["certify", "--point", "a,b"], ["certify", "--point", "zz"], ["hierarchy"],
+    ["classify", "--witness"], ["minimize"], ["minimize", "--mode", "descent", "--start", ""],
+    ["minimize", "--mode", "descent", "--start", "a"],
+])
+
+
+class TestFuzzedFiles:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(text=DEEP, command=["classify", "--witness"])
+    @example(text='{"ground_set": ["a"], "values_dense": [0, ' + DEEP + "]}", command=["hierarchy"])
+    @given(text=fuzzed_files(), command=COMMANDS)
+    def test_exit_code_is_0_1_or_2(self, tmp_path, text, command):
+        p = tmp_path / "f.json"
+        p.write_text(text)
+        code, _, err = run_cli(command[0], str(p), *command[1:])
+        assert code in (0, 1, 2)
+        assert code != 2 or err.startswith("error: ") and err.count("\n") == 1

@@ -245,6 +245,13 @@ class TestRestrict:
         g = f_r3.restrict(IntervalSublattice(1, 3))
         assert g.ground.elements == ("b",)
         assert g.values == (0, 3)
+        # every interval of an injective n = 3 function: subset S of hi \ lo maps to f(lo ∪ S)
+        f = intfn([5, 3, 8, 1, 7, 2, 6, 4])
+        for lo, hi in [(lo, hi) for hi in range(8) for lo in range(8) if lo & hi == lo]:
+            g = f.restrict(IntervalSublattice(lo, hi))
+            assert g.ground.elements == tuple(e for i, e in enumerate("abc") if (hi ^ lo) >> i & 1)
+            for s in range(g.size):
+                assert g.values[s] == f.values[lo | f.ground.mask_of(g.ground.names_of(s))]
 
     def test_degenerate_interval(self, f_cut):
         g = f_cut.restrict(IntervalSublattice(1, 1))
@@ -261,13 +268,14 @@ class TestRestrict:
 
 
 class TestIntervalSublattice:
-    def test_members_ascending(self):
-        box = IntervalSublattice(1, 7)
+    # every interval at n <= 4
+    @pytest.mark.parametrize("lo, hi", [(lo, hi) for hi in range(16) for lo in range(16) if lo & hi == lo])
+    def test_members_ascending(self, lo, hi):
+        box = IntervalSublattice(lo, hi)
         members = list(box.members())
-        assert members == [1, 3, 5, 7]
-        assert box.cardinality == 4
-        assert all(box.contains(m) for m in members)
-        assert not box.contains(0) and not box.contains(2)
+        assert members == [m for m in range(16) if box.contains(m)]
+        assert members == [m for m in range(16) if m & lo == lo and m & hi == m]
+        assert box.cardinality == len(members)
 
     def test_submasks(self):
         assert list(submasks(5)) == [0, 1, 4, 5]

@@ -20,6 +20,9 @@ from ordsub import (
     random_function,
 )
 
+from ordsub.conditions import lane_chunks
+from ordsub.minimize import minimal_over
+
 from conftest import intfn
 
 
@@ -69,6 +72,13 @@ class TestIntervalMinimality:
                 assert is_interval_local_min(f, x) == (
                     f.values[x] <= brute_min_over(f, lower + upper)
                 )
+        # on a chunk's lanes, minimal_over answers bit k for function k
+        (c,) = lane_chunks((f.values for f in enumerate_weak_orders(2)), 2)
+        for lo, hi in [(lo, hi) for hi in range(4) for lo in range(4) if lo & hi == lo]:
+            for x in range(4):
+                bits = minimal_over(c.cols, x, lo, hi, c.full)
+                expected = [all(v[x] <= v[z] for z in range(4) if lo & z == lo and z | hi == hi) for v in c.vectors]
+                assert [bool(bits >> (16 * k + 8) & 1) for k in range(len(c.vectors))] == expected
 
 
 class TestLiftToGlobal:
