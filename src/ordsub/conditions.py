@@ -156,7 +156,7 @@ class LaneChunk:
     the lowest bit up.
     """
 
-    vectors: Sequence[tuple[int, ...]]
+    vectors: Sequence[tuple[int, ...] | bytes]
     cols: Sequence[Lanes]
     n: int
     full: int
@@ -167,7 +167,7 @@ class LaneChunk:
 
     def vector(self, bits: int) -> tuple[int, ...]:
         """The first function of a nonempty bitset."""
-        return self.vectors[((bits & -bits).bit_length() - 9) >> 4]
+        return tuple(self.vectors[((bits & -bits).bit_length() - 9) >> 4])
 
     def hits(self, cond: ConditionId, pairs: Iterable[Pair] | None = None) -> list[int]:
         """Per pair (incomparable ones by default, in order): the functions violating cond there."""
@@ -194,6 +194,7 @@ class LaneChunk:
 def lane_chunks(vectors: Iterable[Sequence[int]], n: int) -> Iterator[LaneChunk]:
     """Bit-slice rank vectors on the 2**n subsets, CHUNK at a time, in order.
 
+    The vectors are sequences of ints, or bytes as the enumerators give them.
     Raises ValueError for a vector of another length or a value outside
     0..LANE_MAX.
     """
@@ -201,7 +202,7 @@ def lane_chunks(vectors: Iterable[Sequence[int]], n: int) -> Iterator[LaneChunk]
     it = iter(vectors)
     while chunk := list(islice(it, CHUNK)):
         try:
-            flat = bytes(chain.from_iterable(chunk))
+            flat = b"".join(chunk) if isinstance(chunk[0], bytes) else bytes(chain.from_iterable(chunk))
         except (TypeError, ValueError):
             flat = None
         # isascii: every value is below 128, that is at most LANE_MAX

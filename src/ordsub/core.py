@@ -23,6 +23,12 @@ RawKey = Union[int, Fraction]
 _DEFAULT_NAMES = "abcdefghijklmnopqrst"
 
 
+def _clip(value: object, limit: int = 60) -> str:
+    """repr(value) for an error message, cut to limit characters and an ellipsis."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def default_elements(n: int) -> tuple[str, ...]:
     """Element names a, b, c, ... for ground sets built without explicit names."""
     if not 1 <= n <= MAX_GROUND_SIZE:
@@ -122,7 +128,7 @@ class OrderedCodomain:
 
     def __post_init__(self) -> None:
         if self.kind not in ("integer", "rational", "labels"):
-            raise ValueError(f"codomain kind must be integer, rational or labels, got {self.kind!r}")
+            raise ValueError(f"codomain kind must be integer, rational or labels, got {_clip(self.kind)}")
         object.__setattr__(self, "label_order", tuple(self.label_order))
         if self.kind == "labels":
             if not self.label_order:
@@ -165,7 +171,7 @@ class OrderedCodomain:
                     if den == 0:
                         raise ValueError("rational denominator must be nonzero")
                     return Fraction(num, den)
-            raise TypeError(f"rational codomain expects int, Fraction or [num, den], got {raw!r}")
+            raise TypeError(f"rational codomain expects int, Fraction or [num, den], got {_clip(raw)}")
         # labels; ints are accepted as positions in label_order
         if isinstance(raw, int):
             if not 0 <= raw < len(self.label_order):
@@ -176,7 +182,7 @@ class OrderedCodomain:
         try:
             return self.label_order.index(raw)
         except ValueError:
-            raise ValueError(f"unknown label {raw!r}; label_order is {list(self.label_order)}") from None
+            raise ValueError(f"unknown label {_clip(raw)}; label_order is {_clip(list(self.label_order))}") from None
 
     def value(self, raw: object) -> "OrdinalValue":
         return OrdinalValue(self, self.key_of(raw))
@@ -338,9 +344,6 @@ class SetFunction:
         self.ground.check_mask(mask)
         return OrdinalValue(self.codomain, self.values[mask])
 
-    def value_at(self, names: Iterable[str] | str) -> OrdinalValue:
-        return self.value(self.ground.mask_of(names))
-
     def complement_dual(self) -> "SetFunction":
         """g with g(X) = f(E \\ X); an involution that swaps union and intersection."""
         full = self.ground.full_mask
@@ -400,6 +403,3 @@ class SetFunction:
     def distinct_keys(self) -> tuple[RawKey, ...]:
         """The distinct values attained, in increasing order."""
         return tuple(sorted(set(self.values)))
-
-    def display_value(self, mask: int) -> str:
-        return self.codomain.display(self.values[mask])

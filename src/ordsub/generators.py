@@ -6,6 +6,12 @@ hitting every rank.  Enumerating those (lexicographically) enumerates every
 ordinal behaviour at small n; injective rank vectors (permutations) cover the
 linear-order case.  The counts are the ordered set partition numbers
 (3, 75, 545835 for m = 2, 4, 8) and m! respectively.
+
+The surjective vectors come as bytes (``weak_order_bytes``), ready for
+``conditions.lane_chunks``.  Each is a head, the first m - 3 values, joined
+with a tail of three.  The tails that complete a head depend only on its
+largest rank and the ranks it skips below that, so a memoized table
+(``_tails``) builds each set of tails once, and no tuple is made per vector.
 """
 
 from __future__ import annotations
@@ -15,66 +21,46 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .conditions import ENUMERATION_CAP, ConditionId, lane_chunks
 from .core import INTEGERS, RATIONALS, GroundSet, OrderedCodomain, RawKey, SetFunction, default_elements
 
 
-def surjective_rank_vectors(m: int) -> Iterator[tuple[int, ...]]:
-    """All vectors in {1..k}**m surjective onto {1..k}, any k, lexicographic.
+# The length of the memoized tails.  At m = 8, tails of three values keep
+# the table at about 0.5 MB; tails of four would take 1.7 MB and raise the
+# peak RSS of an n = 3 suite by about 1.5 MB, for little speed.
+_TAIL = 3
 
-    Iterative depth-first search over prefixes with gap pruning: a prefix is
-    extended with value w only while the ranks skipped below the running
-    maximum can still be filled by the remaining positions, so every leaf is
-    surjective and nothing is generated twice.
-    """
-    if m == 0:
-        yield ()
-        return
-    vec = [0] * m
-    count = [0] * (m + 2)
-    saved = [(0, 0)] * m
-    maxv = 0        # largest rank used so far
-    missing = 0     # ranks below maxv not yet used
-    pos = 0
-    w = 1
-    while True:
-        rem = m - pos
-        limit = maxv + rem - missing
-        placed = False
-        while w <= limit:
-            if w > maxv or count[w] == 0 or missing <= rem - 1:
-                placed = True
-                break
-            w += 1
-        if placed:
-            saved[pos] = (maxv, missing)
-            vec[pos] = w
-            if w > maxv:
-                missing += w - maxv - 1
-                maxv = w
-            elif count[w] == 0:
-                missing -= 1
-            count[w] += 1
-            pos += 1
-            if pos == m:
-                yield tuple(vec)
-                pos -= 1
-                w = vec[pos]
-                count[w] -= 1
-                maxv, missing = saved[pos]
-                w += 1
-            else:
-                w = 1
-        else:
-            if pos == 0:
-                return
-            pos -= 1
-            w = vec[pos]
-            count[w] -= 1
-            maxv, missing = saved[pos]
-            w += 1
+
+@lru_cache(maxsize=None)
+def _tails(r: int, top: int, missing: frozenset[int]) -> tuple[bytes, ...]:
+    """Every length-r completion, lexicographic, of a prefix with largest rank
+    top that leaves the ranks in missing unused."""
+    if len(missing) > r:
+        return ()
+    if r == 0:
+        return (b"",)
+    out: list[bytes] = []
+    for w in range(1, top + r + 1):
+        state = (top, missing - {w}) if w <= top else (w, missing.union(range(top + 1, w)))
+        out.extend(map(bytes((w,)).__add__, _tails(r - 1, *state)))
+    return tuple(out)
+
+
+def weak_order_bytes(m: int) -> Iterator[bytes]:
+    """All vectors in {1..k}**m surjective onto {1..k}, any k, lexicographic, as bytes."""
+    for head in itertools.product(range(1, m + 1), repeat=max(m - _TAIL, 0)):
+        top = max(head, default=0)
+        missing = frozenset(range(1, top + 1)).difference(head)
+        if len(missing) <= m - len(head):
+            yield from map(bytes(head).__add__, _tails(m - len(head), top, missing))
+
+
+def surjective_rank_vectors(m: int) -> Iterator[tuple[int, ...]]:
+    """weak_order_bytes(m) as tuples."""
+    return map(tuple, weak_order_bytes(m))
 
 
 def injective_rank_vectors(m: int) -> Iterator[tuple[int, ...]]:
@@ -91,7 +77,7 @@ def _check_cap(n: int) -> int:
 def enumerate_weak_orders(n: int) -> Iterator[SetFunction]:
     """Every set function on n elements up to order-isomorphism, as integer ranks."""
     _check_cap(n)
-    for vec in surjective_rank_vectors(1 << n):
+    for vec in weak_order_bytes(1 << n):
         yield SetFunction.from_ints(n, vec)
 
 
@@ -217,17 +203,7 @@ class ClassPredicate:
     ast: tuple
 
     def conditions(self) -> frozenset[ConditionId]:
-        found: set[ConditionId] = set()
-
-        def walk(node: tuple) -> None:
-            if node[0] == "flag":
-                found.add(node[1])
-            else:
-                for child in node[1:]:
-                    walk(child)
-
-        walk(self.ast)
-        return frozenset(found)
+        return _flags(self.ast)
 
     def evaluate(self, lookup: Callable[[ConditionId], int], true: int = True) -> int:
         """The predicate over the flags from lookup.
@@ -235,17 +211,28 @@ class ClassPredicate:
         Flags are bools, or bitsets of functions, with ``true`` then the set
         of all of them; the result is of the same kind.
         """
-        def ev(node: tuple) -> int:
-            op = node[0]
-            if op == "flag":
-                return lookup(node[1])
-            if op == "not":
-                return true ^ ev(node[1])
-            if op == "and":
-                return ev(node[1]) & ev(node[2])
-            return ev(node[1]) | ev(node[2])
+        return _evaluate(self.ast, lookup, true)
 
-        return ev(self.ast)
+
+# Module-level recursion, not nested closures: a closure that calls itself
+# is a reference cycle, which would keep each call's flags alive until the
+# cyclic garbage collector runs.
+
+def _flags(node: tuple) -> frozenset[ConditionId]:
+    if node[0] == "flag":
+        return frozenset((node[1],))
+    return frozenset().union(*map(_flags, node[1:]))
+
+
+def _evaluate(node: tuple, lookup: Callable[[ConditionId], int], true: int) -> int:
+    op = node[0]
+    if op == "flag":
+        return lookup(node[1])
+    if op == "not":
+        return true ^ _evaluate(node[1], lookup, true)
+    if op == "and":
+        return _evaluate(node[1], lookup, true) & _evaluate(node[2], lookup, true)
+    return _evaluate(node[1], lookup, true) | _evaluate(node[2], lookup, true)
 
 
 def parse_predicate(text: str) -> ClassPredicate:
@@ -338,7 +325,7 @@ def search_witness(n: int, predicate: ClassPredicate | str) -> SetFunction | Non
     _check_cap(n)
     if isinstance(predicate, str):
         predicate = parse_predicate(predicate)
-    for c in lane_chunks(surjective_rank_vectors(1 << n), n):
+    for c in lane_chunks(weak_order_bytes(1 << n), n):
         flags = {cond: c.holds(cond) for cond in predicate.conditions()}
         match = predicate.evaluate(flags.__getitem__, c.full)
         if match:

@@ -28,17 +28,16 @@ Suites (names are the CLI tokens):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .conditions import ConditionId, LaneChunk, lane_chunks
 from .core import IntervalSublattice
-from .generators import ENUMERATION_CAP, injective_rank_vectors, surjective_rank_vectors
+from .generators import ENUMERATION_CAP, injective_rank_vectors, weak_order_bytes
 from .minimize import minimal_over
 
 Q1, Q2, Q3, Q4, QH, QUASI = (ConditionId.Q1, ConditionId.Q2, ConditionId.Q3, ConditionId.Q4,
                              ConditionId.QH, ConditionId.QUASI)
 
-Vector = tuple[int, ...]
 # What a suite makes of a chunk: the functions satisfying its hypothesis, and
 # its checks of the consequence as (functions failing the check, description
 # with {} for the function), in the order the first failing check of a
@@ -164,12 +163,6 @@ _SUITES: dict[str, Callable[[LaneChunk], Outcome]] = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def suite_vectors(suite: str, n: int) -> Iterator[Vector]:
-    if suite == "theorem2":
-        return iter(injective_rank_vectors(1 << n))
-    return surjective_rank_vectors(1 << n)
-
-
 def run_suite(suite: str, n: int) -> SuiteResult:
     """Run one named suite exhaustively at the given n (capped at 3)."""
     if suite not in _SUITES:
@@ -178,7 +171,8 @@ def run_suite(suite: str, n: int) -> SuiteResult:
         raise ValueError(f"suites run at 1 <= n <= {ENUMERATION_CAP}, got {n}")
     scanned = hyp_count = violations = 0
     first: str | None = None
-    for c in lane_chunks(suite_vectors(suite, n), n):
+    vectors = injective_rank_vectors if suite == "theorem2" else weak_order_bytes
+    for c in lane_chunks(vectors(1 << n), n):
         hyp, fails = _SUITES[suite](c)
         bad = 0
         for bits, _ in fails:
