@@ -39,7 +39,6 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import OrdinalValue, RawKey, SetFunction
@@ -149,14 +148,15 @@ class Lanes:
 
 @dataclass(frozen=True)
 class LaneChunk:
-    """Up to CHUNK rank vectors on the subsets of n elements, bit-sliced.
+    """Rank vectors on the subsets of n elements, bit-sliced.
 
-    ``full`` is the set of all the chunk's functions: the guard bit of every
-    lane.  Bitsets of functions are subsets of it, in enumeration order from
-    the lowest bit up.
+    ``flat`` holds the vectors back to back, 2**n bytes each, and ``cols``
+    one Lanes per subset.  ``full`` is the set of all the chunk's functions:
+    the guard bit of every lane.  Bitsets of functions are subsets of it, in
+    enumeration order from the lowest bit up.
     """
 
-    vectors: Sequence[tuple[int, ...] | bytes]
+    flat: bytes
     cols: Sequence[Lanes]
     n: int
     full: int
@@ -165,9 +165,14 @@ class LaneChunk:
     def pairs(self) -> tuple[Pair, ...]:
         return incomparable_pair_table(self.n)
 
+    @property
+    def count(self) -> int:
+        return len(self.flat) >> self.n
+
     def vector(self, bits: int) -> tuple[int, ...]:
         """The first function of a nonempty bitset."""
-        return tuple(self.vectors[((bits & -bits).bit_length() - 9) >> 4])
+        start = ((bits & -bits).bit_length() - 9) >> 4 << self.n
+        return tuple(self.flat[start:start + (1 << self.n)])
 
     def hits(self, cond: ConditionId, pairs: Iterable[Pair] | None = None) -> list[int]:
         """Per pair (incomparable ones by default, in order): the functions violating cond there."""
@@ -186,35 +191,52 @@ class LaneChunk:
         return self.full ^ bad
 
     def dual(self) -> LaneChunk:
-        """The same functions' complement duals, X -> f(E - X)."""
+        """The same functions' complement duals, X -> f(E - X); ``vector`` still gives f."""
         full = len(self.cols) - 1
-        return LaneChunk(self.vectors, [self.cols[full ^ m] for m in range(full + 1)], self.n, self.full)
+        return LaneChunk(self.flat, [self.cols[full ^ m] for m in range(full + 1)], self.n, self.full)
 
 
-def lane_chunks(vectors: Iterable[Sequence[int]], n: int) -> Iterator[LaneChunk]:
-    """Bit-slice rank vectors on the 2**n subsets, CHUNK at a time, in order.
+def _slice(flat: bytes, n: int) -> LaneChunk:
+    """The chunk of the vectors in flat, 2**n bytes each."""
+    size = 1 << n
+    count = len(flat) >> n
+    full = int.from_bytes(b"\0\1" * count, "little")
+    lanes = bytearray(2 * count)
+    cols = []
+    for s in range(size):
+        lanes[::2] = flat[s::size]  # lane k holds the value of function k, little-endian
+        cols.append(Lanes(int.from_bytes(lanes, "little"), full))
+    return LaneChunk(flat, cols, n, full)
 
-    The vectors are sequences of ints, or bytes as the enumerators give them.
-    Raises ValueError for a vector of another length or a value outside
-    0..LANE_MAX.
+
+def lane_chunks(vectors: Iterable[Sequence[int] | bytes], n: int, first: int = CHUNK) -> Iterator[LaneChunk]:
+    """Bit-slice rank vectors on the 2**n subsets, in order, CHUNK at a time.
+
+    Each item is one vector, a sequence of ints, or bytes holding whole
+    vectors back to back, as ``generators.weak_order_blocks`` gives them.
+    The first chunk holds ``first`` functions and each next one twice as
+    many, up to CHUNK.  Raises ValueError for a vector of another length or
+    a value outside 0..LANE_MAX.
     """
     size = 1 << n
-    it = iter(vectors)
-    while chunk := list(islice(it, CHUNK)):
+    width = first << n
+    buf = bytearray()
+    for item in vectors:
+        block = isinstance(item, (bytes, bytearray))
         try:
-            flat = b"".join(chunk) if isinstance(chunk[0], bytes) else bytes(chain.from_iterable(chunk))
+            data = item if block else bytes(item)
         except (TypeError, ValueError):
-            flat = None
+            data = None
         # isascii: every value is below 128, that is at most LANE_MAX
-        if flat is None or len(flat) != size * len(chunk) or not flat.isascii():
+        if data is None or (len(data) % size if block else len(data) != size) or not data.isascii():
             raise ValueError(f"bit-sliced vectors need {size} integers in 0..{LANE_MAX} each")
-        full = int.from_bytes(b"\0\1" * len(chunk), "little")
-        lanes = bytearray(2 * len(chunk))
-        cols = []
-        for s in range(size):
-            lanes[::2] = flat[s::size]  # lane k holds the value of function k, little-endian
-            cols.append(Lanes(int.from_bytes(lanes, "little"), full))
-        yield LaneChunk(chunk, cols, n, full)
+        buf += data
+        while len(buf) >= width:
+            yield _slice(bytes(buf[:width]), n)
+            del buf[:width]
+            width = min(2 * width, CHUNK << n)
+    if buf:
+        yield _slice(bytes(buf), n)
 
 
 def _ranks(values: Sequence[RawKey]) -> list[int]:

@@ -59,14 +59,14 @@ class GroundSet:
         seen = set()
         for name in self.elements:
             if not isinstance(name, str) or not name:
-                raise ValueError(f"element names must be nonempty strings, got {name!r}")
+                raise ValueError(f"element names must be nonempty strings, got {_clip(name)}")
             if "," in name:
-                raise ValueError(f"element names must not contain commas: {name!r}")
+                raise ValueError(f"element names must not contain commas: {_clip(name)}")
             if name != name.strip():
                 # mask_of strips names, so such a name could not be looked up
-                raise ValueError(f"element names must not start or end with whitespace: {name!r}")
+                raise ValueError(f"element names must not start or end with whitespace: {_clip(name)}")
             if name in seen:
-                raise ValueError(f"duplicate element name {name!r}")
+                raise ValueError(f"duplicate element name {_clip(name)}")
             seen.add(name)
 
     @property
@@ -99,9 +99,9 @@ class GroundSet:
             try:
                 i = self.elements.index(name)
             except ValueError:
-                raise ValueError(f"unknown element name {name!r}") from None
+                raise ValueError(f"unknown element name {_clip(name)}") from None
             if mask >> i & 1:
-                raise ValueError(f"duplicate element name {name!r} in subset")
+                raise ValueError(f"duplicate element name {_clip(name)} in subset")
             mask |= 1 << i
         return mask
 

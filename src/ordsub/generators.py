@@ -7,11 +7,13 @@ ordinal behaviour at small n; injective rank vectors (permutations) cover the
 linear-order case.  The counts are the ordered set partition numbers
 (3, 75, 545835 for m = 2, 4, 8) and m! respectively.
 
-The surjective vectors come as bytes (``weak_order_bytes``), ready for
-``conditions.lane_chunks``.  Each is a head, the first m - 3 values, joined
-with a tail of three.  The tails that complete a head depend only on its
-largest rank and the ranks it skips below that, so a memoized table
-(``_tails``) builds each set of tails once, and no tuple is made per vector.
+The surjective vectors come as flat byte blocks (``weak_order_blocks``),
+ready for ``conditions.lane_chunks``: one block per head, the first m - 4
+values, holding the head completed by each of its tails of four, one vector
+after another.  The tails that complete a head depend only on its largest
+rank and the ranks it skips below that, so a memoized table (``_tails``)
+builds each set of tails once, as columns, and a block is filled by one
+strided slice assignment per position: no object is made per vector.
 """
 
 from __future__ import annotations
@@ -25,38 +27,56 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .conditions import ENUMERATION_CAP, ConditionId, lane_chunks
-from .core import INTEGERS, RATIONALS, GroundSet, OrderedCodomain, RawKey, SetFunction, default_elements
+from .core import INTEGERS, RATIONALS, GroundSet, OrderedCodomain, RawKey, SetFunction, _clip, default_elements
 
 
-# The length of the memoized tails.  At m = 8, tails of three values keep
-# the table at about 0.3 MB; tails of four would take 1.7 MB and raise the
-# peak RSS of an n = 3 suite by about 1.5 MB, for little speed.
-_TAIL = 3
+# The length of the memoized tails.  Held as columns rather than as one
+# bytes object per tail, tails of four take about 0.4 MB at m = 8, and the
+# 3,155 blocks there hold about 170 vectors each.
+_TAIL = 4
 
 
 @lru_cache(maxsize=None)
-def _tails(r: int, top: int, missing: int) -> tuple[bytes, ...]:
+def _tails(r: int, top: int, missing: int) -> tuple[int, tuple[bytes, ...]]:
     """Every length-r completion, lexicographic, of a prefix with largest rank
-    top that leaves the ranks in the bitmask missing unused."""
+    top that leaves the ranks in the bitmask missing unused: their count, and
+    r columns, column j holding the j-th value of every completion."""
     if missing.bit_count() > r:
-        return ()
+        return 0, (b"",) * r
     if r == 0:
-        return (b"",)
-    out: list[bytes] = []
+        return 1, ()
+    count, first, rest = 0, [], []
     for w in range(1, top + r + 1):
         # w fills a skipped rank, repeats one, or is a new top that skips top+1..w-1
         state = (top, missing & ~(1 << w)) if w <= top else (w, missing | (1 << w) - (2 << top))
-        out.extend(map(bytes((w,)).__add__, _tails(r - 1, *state)))
-    return tuple(out)
+        k, cols = _tails(r - 1, *state)
+        count += k
+        first.append(bytes((w,)) * k)
+        rest.append(cols)
+    return count, (b"".join(first), *map(b"".join, zip(*rest)))
+
+
+def weak_order_blocks(m: int) -> Iterator[bytes]:
+    """All vectors in {1..k}**m surjective onto {1..k}, any k, lexicographic,
+    as blocks of whole vectors of m bytes each.  m >= 1."""
+    r = min(m, _TAIL)
+    for head in itertools.product(range(1, m + 1), repeat=m - r):
+        top = max(head, default=0)
+        count, cols = _tails(r, top, sum(1 << v for v in range(1, top + 1) if v not in head))
+        if count:
+            block = bytearray(m * count)
+            for j, v in enumerate(head):
+                block[j::m] = bytes((v,)) * count
+            for j, col in enumerate(cols, m - r):
+                block[j::m] = col
+            yield bytes(block)
 
 
 def weak_order_bytes(m: int) -> Iterator[bytes]:
-    """All vectors in {1..k}**m surjective onto {1..k}, any k, lexicographic, as bytes."""
-    for head in itertools.product(range(1, m + 1), repeat=max(m - _TAIL, 0)):
-        top = max(head, default=0)
-        missing = frozenset(range(1, top + 1)).difference(head)
-        if len(missing) <= m - len(head):
-            yield from map(bytes(head).__add__, _tails(m - len(head), top, sum(1 << v for v in missing)))
+    """weak_order_blocks(m) cut into one bytes object per vector."""
+    if m == 0:
+        return iter((b"",))
+    return (block[k:k + m] for block in weak_order_blocks(m) for k in range(0, len(block), m))
 
 
 def surjective_rank_vectors(m: int) -> Iterator[tuple[int, ...]]:
@@ -190,9 +210,10 @@ _ALIASES = {
 
 _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|[&|!()])")
 
-# Bound on nested ! and parentheses, so that parsing and evaluation stay far
-# below Python's recursion limit.  A chain of & or | is built as a balanced
-# tree, so its depth grows only as the log of its length.
+# Bound on nested ! and parentheses, which the parser recurses through, and
+# on the height of the parsed tree, which evaluation recurses through, so
+# that both stay far below Python's recursion limit.  A chain of & or | is
+# built as a balanced tree, so its height grows only as the log of its length.
 MAX_PREDICATE_NESTING = 100
 
 
@@ -246,7 +267,7 @@ def parse_predicate(text: str) -> ClassPredicate:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             if text[pos:].strip():
-                raise ValueError(f"predicate syntax error at {text[pos:]!r}")
+                raise ValueError(f"predicate syntax error at {_clip(text[pos:])}")
             break
         tokens.append(m.group(1))
         pos = m.end()
@@ -263,20 +284,29 @@ def parse_predicate(text: str) -> ClassPredicate:
         idx += 1
         return t
 
+    too_deep = f"predicate nests too deeply (more than {MAX_PREDICATE_NESTING} levels)"
+
+    # each parse_* returns (node, height), the height of a flag being 0
     def nested(parse: Callable[[], tuple]) -> tuple:
         nonlocal depth
         depth += 1
         if depth > MAX_PREDICATE_NESTING:
-            raise ValueError(f"predicate nests too deeply (more than {MAX_PREDICATE_NESTING} levels of ! and parentheses)")
+            raise ValueError(too_deep)
         node = parse()
         depth -= 1
         return node
+
+    def make(op: str, *kids: tuple) -> tuple:
+        height = 1 + max(h for _, h in kids)
+        if height > MAX_PREDICATE_NESTING:
+            raise ValueError(too_deep)
+        return (op, *(k for k, _ in kids)), height
 
     def balanced(op: str, nodes: list[tuple]) -> tuple:
         if len(nodes) == 1:
             return nodes[0]
         mid = len(nodes) // 2
-        return (op, balanced(op, nodes[:mid]), balanced(op, nodes[mid:]))
+        return make(op, balanced(op, nodes[:mid]), balanced(op, nodes[mid:]))
 
     def parse_chain(op: str, token: str, parse_operand: Callable[[], tuple]) -> tuple:
         nodes = [parse_operand()]
@@ -294,7 +324,7 @@ def parse_predicate(text: str) -> ClassPredicate:
     def parse_not() -> tuple:
         if peek() == "!":
             take()
-            return ("not", nested(parse_not))
+            return make("not", nested(parse_not))
         return parse_atom()
 
     def parse_atom() -> tuple:
@@ -302,16 +332,16 @@ def parse_predicate(text: str) -> ClassPredicate:
         if t == "(":
             node = nested(parse_or)
             if take() != ")":
-                raise ValueError(f"unbalanced parentheses in predicate {source!r}")
+                raise ValueError(f"unbalanced parentheses in predicate {_clip(source)}")
             return node
         key = t.lower()
         if key not in _ALIASES:
-            raise ValueError(f"unknown condition {t!r}; expected one of Q1..Q4, Qh, QuasiSubmodular, OrdinarySubmodular, Injective")
-        return ("flag", _ALIASES[key])
+            raise ValueError(f"unknown condition {_clip(t)}; expected one of Q1..Q4, Qh, QuasiSubmodular, OrdinarySubmodular, Injective")
+        return ("flag", _ALIASES[key]), 0
 
-    node = parse_or()
+    node, _ = parse_or()
     if take() != "$":
-        raise ValueError(f"trailing input in predicate {source!r}")
+        raise ValueError(f"trailing input in predicate {_clip(source)}")
     return ClassPredicate(source, node)
 
 
@@ -320,13 +350,14 @@ def search_witness(n: int, predicate: ClassPredicate | str) -> SetFunction | Non
 
     Functions are scanned in enumeration (lexicographic rank vector) order,
     a chunk at a time with every flag the predicate names as a bitset, and
-    the first match wins.  None means the whole stream was exhausted without
-    a match.
+    the first match wins.  The chunks start small and double, so that an
+    early match stops early.  None means the whole stream was exhausted
+    without a match.
     """
     _check_cap(n)
     if isinstance(predicate, str):
         predicate = parse_predicate(predicate)
-    for c in lane_chunks(weak_order_bytes(1 << n), n):
+    for c in lane_chunks(weak_order_blocks(1 << n), n, first=64):
         flags = {cond: c.holds(cond) for cond in predicate.conditions()}
         match = predicate.evaluate(flags.__getitem__, c.full)
         if match:

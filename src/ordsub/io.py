@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import GroundSet, OrderedCodomain, SetFunction
+from .core import GroundSet, OrderedCodomain, SetFunction, _clip
 from .hierarchy import LevelChain
 
 
@@ -90,13 +90,13 @@ def parse_set_function(obj: object) -> SetFunction:
         try:
             mask = ground.mask_of(key)
         except ValueError as exc:
-            raise ValueError(f"values[{key!r}]: {exc}") from None
+            raise ValueError(f"values[{_clip(key)}]: {exc}") from None
         if mask in table:
-            raise ValueError(f"values[{key!r}]: subset listed twice")
+            raise ValueError(f"values[{_clip(key)}]: subset listed twice")
         try:
             table[mask] = codomain.key_of(raw)
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"values[{key!r}]: {exc}") from None
+            raise ValueError(f"values[{_clip(key)}]: {exc}") from None
     for mask in range(ground.size):
         if mask not in table:
             raise ValueError(f"values: missing subset {ground.subset_str(mask)!r}")

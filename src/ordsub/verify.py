@@ -32,7 +32,7 @@ from typing import Callable
 
 from .conditions import ConditionId, LaneChunk, lane_chunks
 from .core import IntervalSublattice
-from .generators import ENUMERATION_CAP, injective_rank_vectors, weak_order_bytes
+from .generators import ENUMERATION_CAP, injective_rank_vectors, weak_order_blocks
 from .minimize import minimal_over
 
 Q1, Q2, Q3, Q4, QH, QUASI = (ConditionId.Q1, ConditionId.Q2, ConditionId.Q3, ConditionId.Q4,
@@ -171,14 +171,14 @@ def run_suite(suite: str, n: int) -> SuiteResult:
         raise ValueError(f"suites run at 1 <= n <= {ENUMERATION_CAP}, got {n}")
     scanned = hyp_count = violations = 0
     first: str | None = None
-    vectors = injective_rank_vectors if suite == "theorem2" else weak_order_bytes
+    vectors = injective_rank_vectors if suite == "theorem2" else weak_order_blocks
     for c in lane_chunks(vectors(1 << n), n):
         hyp, fails = _SUITES[suite](c)
         bad = 0
         for bits, _ in fails:
             bad |= bits
         bad &= hyp
-        scanned += len(c.vectors)
+        scanned += c.count
         hyp_count += hyp.bit_count()
         violations += bad.bit_count()
         if bad and first is None:

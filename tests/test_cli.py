@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -75,6 +77,19 @@ class TestClassify:
         code, out, err = run_cli("classify", str(p))
         assert (code, out) == (2, "")
         assert "values_dense[1]" in err and err.count("\n") == 1
+        assert len(err) < 400
+
+    @pytest.mark.parametrize("argv, obj", [
+        (("classify",), {"ground_set": ["a"], "values": {"": 0, "a": 1, "x" * 5000: 2}}),
+        (("classify",), {"ground_set": ["a", "x" * 5000, "x" * 5000], "values_dense": [0] * 8}),
+        (("certify", "--point", "x" * 5000), {"ground_set": ["a"], "values_dense": [0, 1]}),
+    ], ids=["sparse-key", "duplicate-name", "unknown-point"])
+    def test_long_echoed_name_is_cut_short(self, tmp_path, argv, obj):
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps(obj))
+        code, out, err = run_cli(*argv, str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err) < 400
 
     @pytest.mark.parametrize("text", [DEEP, '{"ground_set": ["a"], "values_dense": [0, ' + DEEP + "]}"],
@@ -289,6 +304,25 @@ class TestGenerateAndSearch:
         assert (code, out) == (2, "")
         assert "predicate nests too deeply" in err and err.count("\n") == 1
 
+    def test_deep_tree_of_long_chains(self):
+        # within the nesting bound, but each level's balanced chain adds 11 levels to the
+        # tree, which evaluation would recurse through past Python's recursion limit
+        predicate = "Q1"
+        for _ in range(99):
+            predicate = "(" + " & ".join(["Q4"] * 1999 + [predicate]) + ")"
+        code, out, err = run_cli("search", "--n", "2", "--predicate", predicate)
+        assert (code, out) == (2, "")
+        assert "predicate nests too deeply" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("predicate", ["Q1" + ")" * 5000, "Q" * 5000, "Q1 & #" + "x" * 5000,
+                                           "(" * 50 + "Q1" + " & Q2" * 1000],
+                             ids=["trailing", "unknown", "syntax", "unbalanced"])
+    def test_long_bad_predicate_is_cut_short(self, predicate):
+        code, out, err = run_cli("search", "--n", "2", "--predicate", predicate)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 400
+
     def test_long_flat_predicate_chain(self):
         # a chain of & is built as a balanced tree, so it evaluates without deep recursion
         code, out, _ = run_cli("search", "--n", "2", "--predicate", " & ".join(["Q4"] * 3000) + " & !Q3")
@@ -391,3 +425,80 @@ class TestFuzzedFiles:
         code, _, err = run_cli(command[0], str(p), *command[1:])
         assert code in (0, 1, 2)
         assert code != 2 or err.startswith("error: ") and err.count("\n") == 1
+
+
+# Command lines for every subcommand: its positionals and flags, each kept
+# with high odds, with values good, malformed or out of range, a few of its
+# optional flags, and now and then a stray token or another subcommand's
+# flag, in order or shuffled.  --n stops short of 3, so no example scans the
+# n = 3 universe.
+ARG_POINT = st.sampled_from(["", "a", "a,b", "b,a", "zz", "a,a", ",", " a ", "x" * 5000])
+ARG_VALUES = {
+    "FILE": st.sampled_from(["FILE", "FILE", "MISSING"]),
+    "KIND": st.sampled_from(["cut", "const", "modular", "random", "other"]),
+    "--n": st.sampled_from(["1", "2", "2", "2", "0", "4", "-1", "x", "99999999999999999999"]),
+    "--point": ARG_POINT,
+    "--start": ARG_POINT,
+    "--suite": st.sampled_from(["lemma1", "theorem2", "duality", "remark5", "nope", ""]),
+    "--predicate": st.sampled_from(["Q4 & !Q3", "Qh & !(Q1 & Q2)", "!Q4", "Q1 &", "Q9", "(Q1", ""]),
+    "--k": st.sampled_from(["0", "1", "5", "-1", "x"]),
+    "--mode": st.sampled_from(["brute", "descent", "other"]),
+    "--edges": st.sampled_from(["0-1:1", "0-1:1/2", "0-1:1/0", "0:1", "1-0:1", "0-1:-1", "0-5:1"]),
+    "--weights": st.sampled_from(["1,2", "1", "1/0,1", "x,1"]),
+    "--concave": st.sampled_from(["0,0,0", "0,1,1", "0,1,3", "0"]),
+    "--value": st.sampled_from(["0", "3", "x"]),
+    "--distinct": st.sampled_from(["1", "2", "4", "0", "x"]),
+    "--seed": st.sampled_from(["0", "7", "x"]),
+    "--codomain": st.sampled_from(["integer", "rational", "labels", "real"]),
+    "--labels": st.sampled_from(["lo,hi", "lo,mid,hi,top", "", "a,a"]),
+    "--form": st.sampled_from(["dense", "sparse", "neither"]),
+}
+ARG_SHAPES = {  # (what the subcommand needs, what it may take)
+    "classify": (["FILE"], ["--json", "--witness"]),
+    "minimize": (["FILE"], ["--json", "--mode", "--start"]),
+    "certify": (["FILE", "--point"], ["--json"]),
+    "hierarchy": (["FILE"], ["--json"]),
+    "constrained": (["FILE", "FILE", "--k"], ["--json"]),
+    "verify": (["--suite", "--n"], ["--json"]),
+    "generate": (["KIND", "--n"], ["--edges", "--weights", "--concave", "--value", "--distinct", "--seed",
+                                   "--codomain", "--labels", "--form"]),
+    "search": (["--n", "--predicate"], ["--form"]),
+}
+ARG_STRAYS = st.sampled_from(["--json", "--witness", "--version", "-h", "--n", "--point", "--suite", "random",
+                              "FILE", "--bogus", "-", "classify"])
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(ARG_SHAPES)))
+    needs, takes = ARG_SHAPES[command]
+    items = [a for a in needs if draw(st.integers(0, 9))] + draw(st.lists(st.sampled_from(takes), max_size=3))
+    tokens = [command]
+    for a in items:
+        if a.startswith("--"):
+            tokens.append(a)
+        if a in ARG_VALUES:
+            tokens.append(draw(ARG_VALUES[a]))
+    tokens += draw(st.lists(ARG_STRAYS, max_size=2 if draw(st.integers(0, 3)) == 0 else 0))
+    return draw(st.permutations(tokens)) if draw(st.integers(0, 4)) == 0 else tokens
+
+
+class TestFuzzedArgv:
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(argv=["certify", "--point", "x" * 5000, "FILE"])
+    @example(argv=["search", "--n", "4", "--predicate", "Q1"])
+    @given(argv=fuzzed_argv())
+    def test_exit_code_is_0_1_or_2(self, r3_file, argv):
+        argv = [{"FILE": r3_file, "MISSING": r3_file + ".missing"}.get(t, t) for t in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage errors, --help and --version
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            # one error line: argparse's after its usage lines, or ordsub's own, cut short
+            lines = err.getvalue().splitlines()
+            assert [line for line in lines if "error: " in line] == lines[-1:], argv
+            assert lines[-1].startswith("ordsub") or lines == lines[-1:] and len(lines[-1]) < 400, argv

@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, islice, product
+from itertools import accumulate, chain, islice, product
 from operator import itemgetter, or_
 from pathlib import Path
 
@@ -41,9 +41,9 @@ from ordsub import (
     set_function_to_json,
 )
 from ordsub.conditions import (
-    LANE_MAX, VIOLATES, ClassReport, _exact_ints, incomparable_pair_table, injective_witness, lane_chunks,
+    CHUNK, LANE_MAX, VIOLATES, ClassReport, _exact_ints, incomparable_pair_table, injective_witness, lane_chunks,
 )
-from ordsub.generators import surjective_rank_vectors
+from ordsub.generators import surjective_rank_vectors, weak_order_blocks
 
 from conftest import intfn
 
@@ -634,6 +634,11 @@ def lanes(bits, count):
     return [text[16 * k + 8] == "1" for k in range(count)]
 
 
+def chunk_vectors(c):
+    """Every function of a chunk, decoded one at a time by LaneChunk.vector."""
+    return [c.vector(1 << (16 * k + 8)) for k in range(c.count)]
+
+
 class TestLaneChunks:
     @staticmethod
     def samples():
@@ -646,10 +651,9 @@ class TestLaneChunks:
         for n, vectors in self.samples():
             pairs = incomparable_pair_table(n)
             for c in lane_chunks(vectors, n):
-                count = len(c.vectors)
-                hits = {cond: [lanes(bits, count) for bits in c.hits(cond)] for cond in conds}
-                holds = {cond: lanes(c.holds(cond), count) for cond in conds + [ConditionId.INJECTIVE]}
-                for k, vec in enumerate(c.vectors):
+                hits = {cond: [lanes(bits, c.count) for bits in c.hits(cond)] for cond in conds}
+                holds = {cond: lanes(c.holds(cond), c.count) for cond in conds + [ConditionId.INJECTIVE]}
+                for k, vec in enumerate(chunk_vectors(c)):
                     for cond in conds:
                         want = scalar_first_hit(cond, vec, n)
                         first = next((p[:2] for p, member in zip(pairs, hits[cond]) if member[k]), None)
@@ -666,19 +670,53 @@ class TestLaneChunks:
                    for _ in range(5000)]
         for c in lane_chunks(vectors, 2):
             for cond, violates in VIOLATES.items():
-                members = lanes(violates(*c.cols), len(c.vectors))  # (vx, vy, vu, vi) = f(∅), f(a), f(b), f(ab)
-                assert members == [bool(violates(*vec)) for vec in c.vectors], cond
+                members = lanes(violates(*c.cols), c.count)  # (vx, vy, vu, vi) = f(∅), f(a), f(b), f(ab)
+                assert members == [bool(violates(*vec)) for vec in chunk_vectors(c)], cond
 
     def test_first_function_of_a_bitset(self):
         vectors = list(islice(surjective_rank_vectors(8), 5000))
         chunks = list(lane_chunks(vectors, 3))
-        assert [len(c.vectors) for c in chunks] == [4096, 904]
+        assert [c.count for c in chunks] == [4096, 904]
         c = chunks[1]
         assert c.vector(c.full) == vectors[4096]
         assert c.vector(c.full & -(1 << (16 * 903))) == vectors[-1]
 
+    # the first 16 blocks of the n = 3 stream: 4,393 functions, where the cut
+    # after 4096 falls inside the 15th block, and that after 448 (the third
+    # of chunks growing from 64) one function before the end of the 2nd
+    BLOCKS = list(islice(weak_order_blocks(8), 16))
+    VECTORS = [tuple(b[k:k + 8]) for b in BLOCKS for k in range(0, len(b), 8)]
+    ENDS = list(accumulate(len(b) // 8 for b in BLOCKS))
+
+    @staticmethod
+    def sliced(chunks):
+        return [(c.flat, c.n, c.full, [lane.bits for lane in c.cols]) for c in chunks]
+
+    @pytest.mark.parametrize("first, counts", [(CHUNK, [4096, 297]), (64, [64, 128, 256, 512, 1024, 2048, 361])])
+    def test_blocks_slice_as_their_tuples(self, first, counts):
+        assert 4096 not in self.ENDS and 448 not in self.ENDS and self.ENDS[-1] == len(self.VECTORS) == 4393
+        chunks = list(lane_chunks(self.BLOCKS, 3, first))
+        assert [c.count for c in chunks] == counts
+        assert self.sliced(chunks) == self.sliced(lane_chunks(self.VECTORS, 3, first))
+        assert b"".join(c.flat for c in chunks) == b"".join(self.BLOCKS)
+
+    def test_vector_and_dual_at_block_and_chunk_boundaries(self):
+        starts = [0] + self.ENDS[:-1]
+        offset = 0
+        for c in lane_chunks(self.BLOCKS, 3, 64):
+            d = c.dual()
+            edges = {0, c.count - 1} | {k - offset + e for k in starts for e in (-1, 0) if 0 <= k - offset + e < c.count}
+            for k in sorted(edges):
+                lane = 1 << (16 * k + 8)
+                assert c.vector(lane) == d.vector(lane) == self.VECTORS[offset + k], k
+            (want,) = lane_chunks([tuple(v[7 ^ m] for m in range(8)) for v in self.VECTORS[offset:offset + c.count]], 3)
+            assert [lane.bits for lane in d.cols] == [lane.bits for lane in want.cols] and d.full == want.full
+            offset += c.count
+        assert offset == len(self.VECTORS)
+
     @pytest.mark.parametrize("bad", [(0, 0, 0, LANE_MAX + 1), (0, 0, 0, -1), (0, 0, 0), (0, 0, 0, 0, 0),
-                                     (0, 0, 0, Fraction(1, 2))])
+                                     (0, 0, 0, Fraction(1, 2)), (0,) * 8, bytes((0, 0, 0, LANE_MAX + 1)),
+                                     bytes(3), bytes(7), bytes(4) + bytes((0, 0, 0, 255))])
     def test_rejects_values_outside_the_lanes(self, bad):
         with pytest.raises(ValueError, match="0..127"):
             list(lane_chunks([(0, 1, 2, 3), bad], 2))

@@ -7,6 +7,7 @@ recurrence rather than by enumeration.
 """
 
 import gc
+import hashlib
 import math
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from ordsub import (
     random_function,
     search_witness,
 )
-from ordsub.generators import surjective_rank_vectors
+from ordsub.generators import surjective_rank_vectors, weak_order_blocks
 
 
 def stirling2(m, k):
@@ -71,6 +72,17 @@ class TestSurjectiveRankVectors:
 
     def test_contains_single_class(self):
         assert (1, 1, 1, 1) in set(surjective_rank_vectors(4))
+
+    def test_blocks_hold_whole_vectors(self):
+        for m in range(1, 9):
+            assert all(block and len(block) % m == 0 for block in weak_order_blocks(m)), m
+
+    def test_n3_stream_digest(self):
+        # SHA-256 of the whole m = 8 stream, pinned from the per-vector enumerator the blocks replaced
+        digest = hashlib.sha256()
+        for block in weak_order_blocks(8):
+            digest.update(block)
+        assert digest.hexdigest() == "8ec11100a18dd86957c7e8662d834d9e43d4db0e134370a688faa0fd2c998a03"
 
 
 class TestEnumerators:
@@ -241,6 +253,19 @@ class TestPredicateParsing:
         inner = "(" * (k - 1) + "!Q1" + ")" * (k - 1)
         assert parse_predicate(inner).evaluate({ConditionId.Q1: False}.__getitem__)
         for text in ("!" * (k + 1) + "Q1", "(" * k + "!Q1" + ")" * k):
+            with pytest.raises(ValueError, match="nests too deeply"):
+                parse_predicate(text)
+
+    def test_tree_height_bound(self):
+        # a chain of & counts by the height of its balanced tree
+        from ordsub.generators import MAX_PREDICATE_NESTING as k
+
+        look = {ConditionId.Q1: True, ConditionId.Q2: True}
+        assert not parse_predicate("!" * (k - 1) + "(Q1 & Q2)").evaluate(look.__getitem__)
+        chains = "Q1"
+        for _ in range(k // 4 + 1):  # each level a chain of 16, of height 4
+            chains = "(" + " & ".join(["Q2"] * 15 + [chains]) + ")"
+        for text in ("!" * (k - 1) + "(Q1 & Q2 & Q3)", chains):
             with pytest.raises(ValueError, match="nests too deeply"):
                 parse_predicate(text)
 

@@ -73,12 +73,13 @@ class TestIntervalMinimality:
                     f.values[x] <= brute_min_over(f, lower + upper)
                 )
         # on a chunk's lanes, minimal_over answers bit k for function k
-        (c,) = lane_chunks((f.values for f in enumerate_weak_orders(2)), 2)
+        vectors = [f.values for f in enumerate_weak_orders(2)]
+        (c,) = lane_chunks(vectors, 2)
         for lo, hi in [(lo, hi) for hi in range(4) for lo in range(4) if lo & hi == lo]:
             for x in range(4):
                 bits = minimal_over(c.cols, x, lo, hi, c.full)
-                expected = [all(v[x] <= v[z] for z in range(4) if lo & z == lo and z | hi == hi) for v in c.vectors]
-                assert [bool(bits >> (16 * k + 8) & 1) for k in range(len(c.vectors))] == expected
+                expected = [all(v[x] <= v[z] for z in range(4) if lo & z == lo and z | hi == hi) for v in vectors]
+                assert [bool(bits >> (16 * k + 8) & 1) for k in range(c.count)] == expected
 
 
 class TestLiftToGlobal:
