@@ -12,6 +12,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .conditions import ConditionId, classify
@@ -54,11 +55,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         shown = "n/a" if flag is None else ("yes" if flag else "no")
         human.append(f"{cond.value:<20} {shown}")
     if args.witness:
-        for cond, w in report.witnesses.items():
-            j = w.to_json(f)
-            human.append(
-                f"witness {cond.value}: X={{{j['X']}}} Y={{{j['Y']}}} values={j['values']}"
-            )
+        for name, j in results["witnesses"].items():
+            human.append(f"witness {name}: X={{{j['X']}}} Y={{{j['Y']}}} values={j['values']}")
     return _emit(args, "classify", {"input": args.input}, results, 0, human)
 
 
@@ -109,23 +107,21 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_hierarchy(args: argparse.Namespace) -> int:
     f = load_set_function(args.input)
     lv = levels(f)
-    chain = family_chain(f)
     witness = check_qh(f)
     results = {
         "levels": [f.codomain.json_encode(v.key) for v in lv.mu],
         "p": lv.p,
-        "chain": chain_to_json(f.ground, chain),
+        "chain": chain_to_json(f.ground, family_chain(f)),
         "qh_holds": witness is None,
     }
     human = [
         "levels: " + " < ".join(v.display() for v in lv.mu),
         f"p = {lv.p}",
     ]
-    for i, fam in enumerate(chain.families):
-        human.append(f"F_{i}: " + (" ".join("{" + f.ground.subset_str(m) + "}" for m in fam) or "(empty)"))
+    for i, fam in enumerate(results["chain"]["families"]):
+        human.append(f"F_{i}: " + (" ".join("{" + s + "}" for s in fam) or "(empty)"))
     if witness is not None:
-        results["qh_witness"] = witness.to_json(f)
-        j = witness.to_json(f)
+        j = results["qh_witness"] = witness.to_json(f)
         human.append(f"Qh fails: X={{{j['X']}}} Y={{{j['Y']}}} values={j['values']}")
         status = 1
     else:
@@ -233,11 +229,18 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse echoes a bad argument whole: cut the message, well past any ordinary usage error."""
+
+    def error(self, message: str) -> NoReturn:
+        super().error(message if len(message) <= 300 else message[:300] + "...")
+
+
 def build_parser() -> argparse.ArgumentParser:
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ordsub",
         description="Classify, minimize and verify ordinally submodular set functions.",
     )

@@ -28,9 +28,9 @@ minimum).  The witness is the lexicographically first violating (X, Y) by
 mask, so witnesses are deterministic.
 
 For the exhaustive suites and witness search, at n <= ENUMERATION_CAP, the
-lanes run across functions instead (``lane_chunks``): CHUNK enumerated rank
-vectors become one int per subset with a 16-bit lane per function, and each
-predicate call answers at one pair for every function of the chunk.
+lanes run across functions instead (``lane_chunks``): a chunk of enumerated
+rank vectors becomes one int per subset with a 16-bit lane per function, and
+each predicate call answers at one pair for every function of the chunk.
 """
 
 from __future__ import annotations
@@ -74,13 +74,14 @@ PAIRWISE_CONDITIONS = (
 # Violation predicates on (f(X), f(Y), f(X∪Y), f(X∩Y)).  The operands are
 # Python values or Lanes alike, so only comparisons, &, | and + appear; Q4's
 # max(vx, vy) < min(vu, vi) is spelled as four comparisons for that reason.
+# QuasiSubmodular looks Q1 and Q2 up when called, once the dict exists.
 VIOLATES: dict[ConditionId, Callable] = {
     ConditionId.Q1: lambda vx, vy, vu, vi: (vx <= vi) & (vu > vy),
     ConditionId.Q2: lambda vx, vy, vu, vi: (vx < vi) & (vu >= vy),
     ConditionId.Q3: lambda vx, vy, vu, vi: (vx < vi) & (vu > vy),
     ConditionId.Q4: lambda vx, vy, vu, vi: (vu > vx) & (vu > vy) & (vi > vx) & (vi > vy),
     ConditionId.QH: lambda vx, vy, vu, vi: (vx == vy) & (vu >= vx) & (vi >= vx) & ((vu > vx) | (vi > vx)),
-    ConditionId.QUASI: lambda vx, vy, vu, vi: (vx <= vi) & (vu > vy) | (vx < vi) & (vu >= vy),
+    ConditionId.QUASI: lambda *v: VIOLATES[ConditionId.Q1](*v) | VIOLATES[ConditionId.Q2](*v),
     ConditionId.ORDINARY: lambda vx, vy, vu, vi: vx + vy < vu + vi,
     ConditionId.INJECTIVE: lambda vx, vy, vu, vi: vx == vy,
 }
@@ -105,7 +106,7 @@ def incomparable_pair_table(n: int) -> tuple[Pair, ...]:
 # each lane, so a predicate returns the bitset of lanes that violate it.  A
 # value, or the sum of two, stays below the guard bit.
 
-# lane_chunks: functions per chunk, and the largest value a 16-bit lane takes
+# lane_chunks: the most functions per chunk, and the largest value a 16-bit lane takes
 CHUNK = 4096
 LANE_MAX = 127
 
@@ -209,17 +210,17 @@ def _slice(flat: bytes, n: int) -> LaneChunk:
     return LaneChunk(flat, cols, n, full)
 
 
-def lane_chunks(vectors: Iterable[Sequence[int] | bytes], n: int, first: int = CHUNK) -> Iterator[LaneChunk]:
-    """Bit-slice rank vectors on the 2**n subsets, in order, CHUNK at a time.
+def lane_chunks(vectors: Iterable[Sequence[int] | bytes], n: int) -> Iterator[LaneChunk]:
+    """Bit-slice rank vectors on the 2**n subsets, in order, a chunk at a time.
 
     Each item is one vector, a sequence of ints, or bytes holding whole
     vectors back to back, as ``generators.weak_order_blocks`` gives them.
-    The first chunk holds ``first`` functions and each next one twice as
-    many, up to CHUNK.  Raises ValueError for a vector of another length or
-    a value outside 0..LANE_MAX.
+    The first chunk holds 64 functions and each next one twice as many, up
+    to CHUNK, so a scan that stops early pays for little.  Raises ValueError
+    for a vector of another length or a value outside 0..LANE_MAX.
     """
     size = 1 << n
-    width = first << n
+    width = 64 << n
     buf = bytearray()
     for item in vectors:
         block = isinstance(item, (bytes, bytearray))
@@ -339,11 +340,6 @@ class ConditionWitness:
         }
 
 
-def _make_witness(f: SetFunction, cond: ConditionId, pair: Pair) -> ConditionWitness:
-    x, y, u, i = pair
-    return ConditionWitness(cond, x, y, f.value(x), f.value(y), f.value(u), f.value(i))
-
-
 def _violates(f: SetFunction, cond: ConditionId, x: int, y: int) -> bool:
     vals = f.values
     return VIOLATES[cond](vals[x], vals[y], vals[x | y], vals[x & y])
@@ -353,7 +349,7 @@ def _witness_at(f: SetFunction, cond: ConditionId, x: int, y: int) -> ConditionW
     """The witness of a pair violating cond; a QuasiSubmodular pair is tagged Q2 if it fails Q2, else Q1."""
     if cond is ConditionId.QUASI:
         cond = ConditionId.Q2 if _violates(f, ConditionId.Q2, x, y) else ConditionId.Q1
-    return _make_witness(f, cond, (x, y, x | y, x & y))
+    return ConditionWitness(cond, x, y, f.value(x), f.value(y), f.value(x | y), f.value(x & y))
 
 
 def holds_at_pair(f: SetFunction, cond: ConditionId, x: int, y: int) -> bool:
@@ -427,7 +423,7 @@ def injective_witness(f: SetFunction) -> ConditionWitness | None:
     if best is None:
         return None
     x, y = best
-    return _make_witness(f, ConditionId.INJECTIVE, (x, y, x | y, x & y))
+    return _witness_at(f, ConditionId.INJECTIVE, x, y)
 
 
 def is_injective(f: SetFunction) -> bool:

@@ -209,6 +209,9 @@ _ALIASES = {
 }
 
 _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|[&|!()])")
+# The first character no token can hold: one outside the token alphabet, or
+# a digit that would start a name.
+_BAD_CHAR_RE = re.compile(r"[^\sA-Za-z0-9&|!()]|(?<![A-Za-z0-9])[0-9]")
 
 # Bound on nested ! and parentheses, which the parser recurses through, and
 # on the height of the parsed tree, which evaluation recurses through, so
@@ -261,17 +264,10 @@ def parse_predicate(text: str) -> ClassPredicate:
     source = text
     text = text.replace("∧", "&").replace("∨", "|").replace("¬", "!").replace("~", "!")
     text = text.replace("&&", "&").replace("||", "|")
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ValueError(f"predicate syntax error at {_clip(text[pos:])}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    tokens.append("$")
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:  # echo from the end of the last whole token, blanks before the bad character included
+        raise ValueError(f"predicate syntax error at {_clip(text[len(text[:bad.start()].rstrip()):])}")
+    tokens = _TOKEN_RE.findall(text) + ["$"]
     idx = 0
     depth = 0
 
@@ -357,7 +353,7 @@ def search_witness(n: int, predicate: ClassPredicate | str) -> SetFunction | Non
     _check_cap(n)
     if isinstance(predicate, str):
         predicate = parse_predicate(predicate)
-    for c in lane_chunks(weak_order_blocks(1 << n), n, first=64):
+    for c in lane_chunks(weak_order_blocks(1 << n), n):
         flags = {cond: c.holds(cond) for cond in predicate.conditions()}
         match = predicate.evaluate(flags.__getitem__, c.full)
         if match:

@@ -210,6 +210,15 @@ class TestFlags:
             f"ordsub: error: unrecognized arguments: {flag}"
         ]
 
+    @pytest.mark.parametrize("argv", [[5000 * "x"], ["minimize", "f.json", "--mode", 3000 * "x"]],
+                             ids=["command", "mode"])
+    def test_long_invalid_choice_is_cut_short(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert "error: argument" in line and line.endswith("...") and len(line) < 400
+
     def test_flags_after_the_subcommand(self, r3_file):
         code, out, _ = run_cli("classify", "--json", "--witness", r3_file)
         assert code == 0 and json.loads(out)["results"]["witnesses"]["Q3"]["X"] == "a"
@@ -342,6 +351,7 @@ class TestDeterminismAcrossThreads:
             (("minimize", "f6.json", "--mode", "descent", "--start", "a,b,c,d,e,f", "--json"), 0, "d94f4c1cc85d6c3d"),
             (("certify", "f6.json", "--point", "a", "--json"), 1, "1de9ad3485a5587a"),
             (("hierarchy", "f6.json", "--json"), 1, "9f6b568d6c4f6a70"),
+            (("hierarchy", "f6.json"), 1, "1ace305a1dcd8ead"),
             (("verify", "--suite", "lemma1", "--n", "2", "--json"), 0, "40f2dfa1f0bfd1a1"),
             (("search", "--n", "2", "--predicate", "Q2&!Q1"), 0, "b0d86a4eb41d7f48"),
         ]

@@ -41,7 +41,7 @@ from ordsub import (
     set_function_to_json,
 )
 from ordsub.conditions import (
-    CHUNK, LANE_MAX, VIOLATES, ClassReport, _exact_ints, incomparable_pair_table, injective_witness, lane_chunks,
+    LANE_MAX, VIOLATES, ClassReport, _exact_ints, incomparable_pair_table, injective_witness, lane_chunks,
 )
 from ordsub.generators import surjective_rank_vectors, weak_order_blocks
 
@@ -663,7 +663,7 @@ class TestLaneChunks:
 
     def test_predicates_across_the_lane_range(self):
         # values at both ends of 0..LANE_MAX, where a sum comes closest to the guard bit;
-        # 5,000 functions fill one chunk and part of a second
+        # 5,000 functions fill chunks of every size from 64 to 2048 and part of the next
         rng = random.Random(7)
         ends = (0, 1, LANE_MAX - 1, LANE_MAX)
         vectors = [tuple(rng.choice(ends) if rng.random() < 0.7 else rng.randrange(LANE_MAX + 1) for _ in range(4))
@@ -676,14 +676,14 @@ class TestLaneChunks:
     def test_first_function_of_a_bitset(self):
         vectors = list(islice(surjective_rank_vectors(8), 5000))
         chunks = list(lane_chunks(vectors, 3))
-        assert [c.count for c in chunks] == [4096, 904]
-        c = chunks[1]
-        assert c.vector(c.full) == vectors[4096]
-        assert c.vector(c.full & -(1 << (16 * 903))) == vectors[-1]
+        assert [c.count for c in chunks] == [64, 128, 256, 512, 1024, 2048, 968]
+        c = chunks[-1]
+        assert c.vector(c.full) == vectors[4032]
+        assert c.vector(c.full & -(1 << (16 * 967))) == vectors[-1]
 
     # the first 16 blocks of the n = 3 stream: 4,393 functions, where the cut
-    # after 4096 falls inside the 15th block, and that after 448 (the third
-    # of chunks growing from 64) one function before the end of the 2nd
+    # after 448 (the third of the chunks, which grow from 64) falls one
+    # function before the end of the 2nd block
     BLOCKS = list(islice(weak_order_blocks(8), 16))
     VECTORS = [tuple(b[k:k + 8]) for b in BLOCKS for k in range(0, len(b), 8)]
     ENDS = list(accumulate(len(b) // 8 for b in BLOCKS))
@@ -692,24 +692,24 @@ class TestLaneChunks:
     def sliced(chunks):
         return [(c.flat, c.n, c.full, [lane.bits for lane in c.cols]) for c in chunks]
 
-    @pytest.mark.parametrize("first, counts", [(CHUNK, [4096, 297]), (64, [64, 128, 256, 512, 1024, 2048, 361])])
-    def test_blocks_slice_as_their_tuples(self, first, counts):
-        assert 4096 not in self.ENDS and 448 not in self.ENDS and self.ENDS[-1] == len(self.VECTORS) == 4393
-        chunks = list(lane_chunks(self.BLOCKS, 3, first))
-        assert [c.count for c in chunks] == counts
-        assert self.sliced(chunks) == self.sliced(lane_chunks(self.VECTORS, 3, first))
+    def test_blocks_slice_as_their_tuples(self):
+        assert 448 not in self.ENDS and self.ENDS[-1] == len(self.VECTORS) == 4393
+        chunks = list(lane_chunks(self.BLOCKS, 3))
+        assert [c.count for c in chunks] == [64, 128, 256, 512, 1024, 2048, 361]
+        assert self.sliced(chunks) == self.sliced(lane_chunks(self.VECTORS, 3))
         assert b"".join(c.flat for c in chunks) == b"".join(self.BLOCKS)
 
     def test_vector_and_dual_at_block_and_chunk_boundaries(self):
         starts = [0] + self.ENDS[:-1]
         offset = 0
-        for c in lane_chunks(self.BLOCKS, 3, 64):
+        duals = lane_chunks([tuple(v[7 ^ m] for m in range(8)) for v in self.VECTORS], 3)
+        for c, want in zip(lane_chunks(self.BLOCKS, 3), duals):
             d = c.dual()
             edges = {0, c.count - 1} | {k - offset + e for k in starts for e in (-1, 0) if 0 <= k - offset + e < c.count}
             for k in sorted(edges):
                 lane = 1 << (16 * k + 8)
                 assert c.vector(lane) == d.vector(lane) == self.VECTORS[offset + k], k
-            (want,) = lane_chunks([tuple(v[7 ^ m] for m in range(8)) for v in self.VECTORS[offset:offset + c.count]], 3)
+            assert want.count == c.count
             assert [lane.bits for lane in d.cols] == [lane.bits for lane in want.cols] and d.full == want.full
             offset += c.count
         assert offset == len(self.VECTORS)

@@ -246,6 +246,11 @@ class TestPredicateParsing:
             parse_predicate("Q1 Q2")
         with pytest.raises(ValueError, match="syntax"):
             parse_predicate("Q1 & #")
+        # the echo starts after the last whole token, blanks before the bad character included
+        for text, rest in [("Q1 & 1a", "' 1a'"), ("  #", "'  #'"), ("Q1 ∪ Q2", "' ∪ Q2'")]:
+            with pytest.raises(ValueError) as err:
+                parse_predicate(text)
+            assert str(err.value) == f"predicate syntax error at {rest}"
 
     def test_nesting_bound(self):
         from ordsub.generators import MAX_PREDICATE_NESTING as k

@@ -74,12 +74,14 @@ class TestIntervalMinimality:
                 )
         # on a chunk's lanes, minimal_over answers bit k for function k
         vectors = [f.values for f in enumerate_weak_orders(2)]
-        (c,) = lane_chunks(vectors, 2)
+        chunks = list(lane_chunks(vectors, 2))
+        assert len(chunks) == 2  # 75 functions: chunks of 64 and 11
         for lo, hi in [(lo, hi) for hi in range(4) for lo in range(4) if lo & hi == lo]:
             for x in range(4):
-                bits = minimal_over(c.cols, x, lo, hi, c.full)
+                got = [bool(minimal_over(c.cols, x, lo, hi, c.full) >> (16 * k + 8) & 1)
+                       for c in chunks for k in range(c.count)]
                 expected = [all(v[x] <= v[z] for z in range(4) if lo & z == lo and z | hi == hi) for v in vectors]
-                assert [bool(bits >> (16 * k + 8) & 1) for k in range(c.count)] == expected
+                assert got == expected
 
 
 class TestLiftToGlobal:
