@@ -29,8 +29,10 @@ mask, so witnesses are deterministic.
 
 For the exhaustive suites and witness search, at n <= ENUMERATION_CAP, the
 lanes run across functions instead (``lane_chunks``): a chunk of enumerated
-rank vectors becomes one int per subset with a 16-bit lane per function, and
+rank vectors becomes one int per subset with an 8-bit lane per function, and
 each predicate call answers at one pair for every function of the chunk.
+The chunk's columns share one table of their comparisons, so a comparison
+that several predicates, pairs or the complement dual repeat is made once.
 """
 
 from __future__ import annotations
@@ -106,42 +108,56 @@ def incomparable_pair_table(n: int) -> tuple[Pair, ...]:
 # each lane, so a predicate returns the bitset of lanes that violate it.  A
 # value, or the sum of two, stays below the guard bit.
 
-# lane_chunks: the most functions per chunk, and the largest value a 16-bit lane takes
+# lane_chunks: the most functions per chunk, and the largest value an 8-bit
+# lane takes, so that a sum of two stays below the guard bit 7
 CHUNK = 4096
-LANE_MAX = 127
+LANE_MAX = 63
+_LANE_VALUES = bytes(range(LANE_MAX + 1))
 
 
 class Lanes:
     """Values packed into lanes of one int, with the guard bit of every lane in ``guard``.
 
-    The lanes hold a chunk of functions at one subset (16 bits each, guard
-    bit 8) or one function at every Y (as wide as its largest value needs,
+    The lanes hold a chunk of functions at one subset (8 bits each, guard
+    bit 7) or one function at every Y (as wide as its largest value needs,
     guard bit on top).  ``a <= b`` is computed as ((b | guard) - a) & guard:
     a lane of b - a borrows from its guard bit exactly when a > b.  The
-    other comparisons derive from it.
+    other comparisons derive from it.  The columns of a chunk carry the
+    ``table`` they share, keyed by the pair of their ``index``, and make
+    each comparison once; other Lanes carry none.
     """
 
-    __slots__ = ("bits", "guard")
+    __slots__ = ("bits", "guard", "table", "index")
     __hash__ = None
 
-    def __init__(self, bits: int, guard: int) -> None:
+    def __init__(self, bits: int, guard: int, table: dict | None = None, index: int = -1) -> None:
         self.bits = bits
         self.guard = guard
+        self.table = table
+        self.index = index
 
     def __le__(self, other: Lanes) -> int:
-        return ((other.bits | self.guard) - self.bits) & self.guard
+        table = self.table
+        if table is None or other.table is not table:
+            return ((other.bits | self.guard) - self.bits) & self.guard
+        key = self.index, other.index
+        try:
+            return table[key]
+        except KeyError:
+            out = table[key] = ((other.bits | self.guard) - self.bits) & self.guard
+            return out
 
     def __ge__(self, other: Lanes) -> int:
-        return ((self.bits | self.guard) - other.bits) & self.guard
+        return other <= self
 
     def __lt__(self, other: Lanes) -> int:
-        return self.guard ^ (self >= other)
+        return self.guard ^ (other <= self)
 
     def __gt__(self, other: Lanes) -> int:
         return self.guard ^ (self <= other)
 
     def __eq__(self, other: Lanes) -> int:  # type: ignore[override]
-        return (self <= other) & (self >= other)
+        return (self <= other) & (other <= self)
 
     def __add__(self, other: Lanes) -> Lanes:
         return Lanes(self.bits + other.bits, self.guard)
@@ -152,9 +168,9 @@ class LaneChunk:
     """Rank vectors on the subsets of n elements, bit-sliced.
 
     ``flat`` holds the vectors back to back, 2**n bytes each, and ``cols``
-    one Lanes per subset.  ``full`` is the set of all the chunk's functions:
-    the guard bit of every lane.  Bitsets of functions are subsets of it, in
-    enumeration order from the lowest bit up.
+    one Lanes per subset, lane k holding function k.  ``full`` is the set
+    of all the chunk's functions: the guard bit of every lane.  Bitsets of
+    functions are subsets of it, in enumeration order from the lowest bit up.
     """
 
     flat: bytes
@@ -172,7 +188,7 @@ class LaneChunk:
 
     def vector(self, bits: int) -> tuple[int, ...]:
         """The first function of a nonempty bitset."""
-        start = ((bits & -bits).bit_length() - 9) >> 4 << self.n
+        start = ((bits & -bits).bit_length() - 8) >> 3 << self.n
         return tuple(self.flat[start:start + (1 << self.n)])
 
     def hits(self, cond: ConditionId, pairs: Iterable[Pair] | None = None) -> list[int]:
@@ -192,21 +208,20 @@ class LaneChunk:
         return self.full ^ bad
 
     def dual(self) -> LaneChunk:
-        """The same functions' complement duals, X -> f(E - X); ``vector`` still gives f."""
+        """The same functions' complement duals, X -> f(E - X); ``vector`` still gives f.
+
+        The columns are the chunk's own, so the dual shares their table.
+        """
         full = len(self.cols) - 1
         return LaneChunk(self.flat, [self.cols[full ^ m] for m in range(full + 1)], self.n, self.full)
 
 
 def _slice(flat: bytes, n: int) -> LaneChunk:
-    """The chunk of the vectors in flat, 2**n bytes each."""
+    """The chunk of the vectors in flat, 2**n bytes each: lane k of column s is byte s of vector k."""
     size = 1 << n
-    count = len(flat) >> n
-    full = int.from_bytes(b"\0\1" * count, "little")
-    lanes = bytearray(2 * count)
-    cols = []
-    for s in range(size):
-        lanes[::2] = flat[s::size]  # lane k holds the value of function k, little-endian
-        cols.append(Lanes(int.from_bytes(lanes, "little"), full))
+    full = int.from_bytes(b"\x80" * (len(flat) >> n), "little")
+    table: dict = {}
+    cols = [Lanes(int.from_bytes(flat[s::size], "little"), full, table, s) for s in range(size)]
     return LaneChunk(flat, cols, n, full)
 
 
@@ -228,8 +243,8 @@ def lane_chunks(vectors: Iterable[Sequence[int] | bytes], n: int) -> Iterator[La
             data = item if block else bytes(item)
         except (TypeError, ValueError):
             data = None
-        # isascii: every value is below 128, that is at most LANE_MAX
-        if data is None or (len(data) % size if block else len(data) != size) or not data.isascii():
+        # deleting every value in 0..LANE_MAX leaves nothing
+        if data is None or (len(data) % size if block else len(data) != size) or data.translate(None, _LANE_VALUES):
             raise ValueError(f"bit-sliced vectors need {size} integers in 0..{LANE_MAX} each")
         buf += data
         while len(buf) >= width:
@@ -240,8 +255,15 @@ def lane_chunks(vectors: Iterable[Sequence[int] | bytes], n: int) -> Iterator[La
         yield _slice(bytes(buf), n)
 
 
-def _ranks(values: Sequence[RawKey]) -> list[int]:
-    """Each value's position among the sorted distinct values: exact for every ordinal condition."""
+def _ranks(f: SetFunction, exact: list[int] | None = None) -> list[int]:
+    """Each value's position among the sorted distinct values: exact for every ordinal condition.
+
+    Rationals are ranked by their ``_exact_ints`` (pass them as exact if at
+    hand), which keep their order and hash far faster than Fractions.
+    """
+    values = f.values
+    if f.codomain.kind == "rational":
+        values = _exact_ints(values) if exact is None else exact
     rank = {v: r for r, v in enumerate(sorted(set(values)))}
     return [rank[v] for v in values]
 
@@ -365,9 +387,10 @@ def _first_witnesses(f: SetFunction, conds: Sequence[ConditionId]) -> dict[Condi
     The ordinal conditions share one row scan over the ranks.
     """
     ordinal = [c for c in conds if c is not ConditionId.ORDINARY]
-    scans = [(_ranks(f.values), ordinal)] if ordinal else []
-    if ConditionId.ORDINARY in conds:
-        scans.append((_exact_ints(f.values), [ConditionId.ORDINARY]))
+    exact = _exact_ints(f.values) if ConditionId.ORDINARY in conds else None
+    scans = [(_ranks(f, exact), ordinal)] if ordinal else []
+    if exact is not None:
+        scans.append((exact, [ConditionId.ORDINARY]))
     hits = {cond: (x, y) for vals, group in scans for x, cond, y in _row_scan(f.n, vals, group, True)}
     return {cond: _witness_at(f, cond, *hits[cond]) for cond in conds if cond in hits}
 
@@ -390,7 +413,7 @@ def iter_witnesses(f: SetFunction, cond: ConditionId) -> Iterator[ConditionWitne
     """
     if cond is ConditionId.INJECTIVE:
         raise ValueError("injectivity also concerns comparable pairs; see injective_witness")
-    vals = _exact_ints(f.values) if cond is ConditionId.ORDINARY else _ranks(f.values)
+    vals = _exact_ints(f.values) if cond is ConditionId.ORDINARY else _ranks(f)
     for x, _, y in _row_scan(f.n, vals, (cond,), False):
         yield _witness_at(f, cond, x, y)
 

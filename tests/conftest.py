@@ -14,6 +14,11 @@ def intfn(values, n=None):
     return SetFunction.from_ints(n, values)
 
 
+def lane_bit(k):
+    """The guard bit of lane k of a LaneChunk: the bit of function k in a bitset of the chunk."""
+    return 8 * k + 7
+
+
 def run_cli(*argv):
     """Invoke the CLI in-process; returns (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

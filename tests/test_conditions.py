@@ -6,6 +6,7 @@ pair at a time, while the library evaluates the violation predicates of
 or across a chunk of functions; they must agree everywhere.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -45,7 +46,7 @@ from ordsub.conditions import (
 )
 from ordsub.generators import surjective_rank_vectors, weak_order_blocks
 
-from conftest import intfn
+from conftest import intfn, lane_bit
 
 
 # Oracle: implication forms, all ordered pairs, no shortcuts.  Memoized on the
@@ -630,13 +631,13 @@ class TestKernelParity:
 
 def lanes(bits, count):
     """Membership of each of a chunk's count functions in a bitset."""
-    text = format(bits, "b").zfill(16 * count)[::-1]
-    return [text[16 * k + 8] == "1" for k in range(count)]
+    text = format(bits, "b").zfill(lane_bit(count))[::-1]
+    return [text[lane_bit(k)] == "1" for k in range(count)]
 
 
 def chunk_vectors(c):
     """Every function of a chunk, decoded one at a time by LaneChunk.vector."""
-    return [c.vector(1 << (16 * k + 8)) for k in range(c.count)]
+    return [c.vector(1 << lane_bit(k)) for k in range(c.count)]
 
 
 class TestLaneChunks:
@@ -661,6 +662,25 @@ class TestLaneChunks:
                         assert holds[cond][k] == (want is None), (vec, cond)
                     assert holds[ConditionId.INJECTIVE][k] == (len(set(vec)) == len(vec)), vec
 
+    def test_every_condition_over_the_n3_stream(self):
+        # every condition's members, directly and on the complement duals (which
+        # share the chunk's columns), over all 545,835 weak orders at n = 3,
+        # pinned from the 16-bit lanes: a new kernel must match the old one
+        direct, dual = hashlib.sha256(), hashlib.sha256()
+        counts = Counter()
+        for c in lane_chunks(weak_order_blocks(8), 3):
+            for cond in ConditionId:
+                member = lanes(c.holds(cond), c.count)
+                counts[cond.value] += sum(member)
+                direct.update(bytes(member))
+            d = c.dual()
+            for cond in ConditionId:
+                dual.update(bytes(lanes(d.holds(cond), c.count)))
+        assert counts == {"Q1": 74565, "Q2": 74565, "Q3": 105346, "Q4": 226330, "Qh": 413711,
+                          "QuasiSubmodular": 53123, "OrdinarySubmodular": 30417, "Injective": 40320}
+        assert direct.hexdigest() == "e63dc8a1af65d1ced2db7726b98c7ebebb62c343b2827187a9ba3e55afc638d8"
+        assert dual.hexdigest() == "98560e22b160b22579718ebf31566370bf2b6ac0ecf3b8916db18eca00cf76b1"
+
     def test_predicates_across_the_lane_range(self):
         # values at both ends of 0..LANE_MAX, where a sum comes closest to the guard bit;
         # 5,000 functions fill chunks of every size from 64 to 2048 and part of the next
@@ -679,7 +699,7 @@ class TestLaneChunks:
         assert [c.count for c in chunks] == [64, 128, 256, 512, 1024, 2048, 968]
         c = chunks[-1]
         assert c.vector(c.full) == vectors[4032]
-        assert c.vector(c.full & -(1 << (16 * 967))) == vectors[-1]
+        assert c.vector(c.full & -(1 << lane_bit(967))) == vectors[-1]
 
     # the first 16 blocks of the n = 3 stream: 4,393 functions, where the cut
     # after 448 (the third of the chunks, which grow from 64) falls one
@@ -707,18 +727,19 @@ class TestLaneChunks:
             d = c.dual()
             edges = {0, c.count - 1} | {k - offset + e for k in starts for e in (-1, 0) if 0 <= k - offset + e < c.count}
             for k in sorted(edges):
-                lane = 1 << (16 * k + 8)
+                lane = 1 << lane_bit(k)
                 assert c.vector(lane) == d.vector(lane) == self.VECTORS[offset + k], k
             assert want.count == c.count
             assert [lane.bits for lane in d.cols] == [lane.bits for lane in want.cols] and d.full == want.full
             offset += c.count
         assert offset == len(self.VECTORS)
 
-    @pytest.mark.parametrize("bad", [(0, 0, 0, LANE_MAX + 1), (0, 0, 0, -1), (0, 0, 0), (0, 0, 0, 0, 0),
+    @pytest.mark.parametrize("bad", [(0, 0, 0, LANE_MAX + 1), (0, 0, 0, 64), (0, 0, 0, -1), (0, 0, 0), (0, 0, 0, 0, 0),
                                      (0, 0, 0, Fraction(1, 2)), (0,) * 8, bytes((0, 0, 0, LANE_MAX + 1)),
-                                     bytes(3), bytes(7), bytes(4) + bytes((0, 0, 0, 255))])
+                                     bytes((0, 0, 0, 127)), bytes((0, 0, 0, 128)), bytes(3), bytes(7),
+                                     bytes(4) + bytes((0, 0, 0, 255))])
     def test_rejects_values_outside_the_lanes(self, bad):
-        with pytest.raises(ValueError, match="0..127"):
+        with pytest.raises(ValueError, match="0..63"):
             list(lane_chunks([(0, 1, 2, 3), bad], 2))
 
 

@@ -23,7 +23,7 @@ from ordsub import (
 from ordsub.conditions import lane_chunks
 from ordsub.minimize import minimal_over
 
-from conftest import intfn
+from conftest import intfn, lane_bit
 
 
 def brute_min_over(f, masks):
@@ -78,7 +78,7 @@ class TestIntervalMinimality:
         assert len(chunks) == 2  # 75 functions: chunks of 64 and 11
         for lo, hi in [(lo, hi) for hi in range(4) for lo in range(4) if lo & hi == lo]:
             for x in range(4):
-                got = [bool(minimal_over(c.cols, x, lo, hi, c.full) >> (16 * k + 8) & 1)
+                got = [bool(minimal_over(c.cols, x, lo, hi, c.full) >> lane_bit(k) & 1)
                        for c in chunks for k in range(c.count)]
                 expected = [all(v[x] <= v[z] for z in range(4) if lo & z == lo and z | hi == hi) for v in vectors]
                 assert got == expected
