@@ -6,7 +6,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ordsub import parse_set_function, random_function, set_function_to_json
+from ordsub import (
+    OrderedCodomain, SetFunction, modular_plus_concave, parse_set_function, random_function, set_function_to_json,
+)
 from ordsub.cli import main
 
 from conftest import intfn, run_cli
@@ -159,6 +161,42 @@ class TestHierarchy:
         res = json.loads(out)["results"]
         assert res["qh_holds"] is False
         assert res["qh_witness"]["X"] == "a" and res["qh_witness"]["Y"] == "b"
+
+
+def n10_functions():
+    """The worst case (modular), a late witness on it, and a random rational function, at n = 10."""
+    modular = modular_plus_concave(10, list(range(1, 11)), [0] * 11)
+    vals = list(modular.values)
+    vals[0b1111111110] = -1
+    return {
+        "modular10": modular,
+        "lowered10": SetFunction.from_ints(10, vals),
+        "random10_rational": random_function(10, OrderedCodomain("rational"), 16, seed=7),
+    }
+
+
+class TestReportsAtN10:
+    # sha256 of stdout with the input path replaced by IN, and the exit code;
+    # pinned before the row scan built its lanes level by level and the chain
+    # named each subset once, and unchanged by both
+    PINNED = {
+        ("modular10", "hierarchy"): (0, "543f97da9349d5e50537a345c2cbd0dcd81eae7edf89fdbe5f02d1f2f751c6d9"),
+        ("modular10", "classify"): (0, "e60fdf3fd55725104edcc64c51135729830c38a8406768530d60f5ad85c9bbc6"),
+        ("lowered10", "hierarchy"): (0, "d87e0f98b536201fdd9166f930c03b680253e0d0ee9ad00281e6dca2c91ea51c"),
+        ("lowered10", "classify"): (0, "01cffc708b6899dc564aa497806e3ea82c977318fd07c920ea42405d95b67056"),
+        ("random10_rational", "hierarchy"): (1, "6e0b6766abaea2ffe3f99d55bf64d8ccfdf94a6bbbb9ea08e42e866cdaf60793"),
+        ("random10_rational", "classify"): (0, "23c08152eff91642c598a164cd27f9d513f12dc30d1cce0843cc3250f15b0b59"),
+    }
+
+    def test_json_reports_are_pinned(self, tmp_path):
+        got = {}
+        for name, f in n10_functions().items():
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(set_function_to_json(f)))
+            for argv in (("hierarchy", str(p), "--json"), ("classify", str(p), "--json", "--witness")):
+                code, out, _ = run_cli(*argv)
+                got[name, argv[0]] = (code, hashlib.sha256(out.replace(str(p), "IN").encode()).hexdigest())
+        assert got == self.PINNED
 
 
 class TestConstrained:

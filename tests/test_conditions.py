@@ -488,6 +488,13 @@ def kernel_hits(f):
     }
 
 
+def modular_lowered(n, mask):
+    """The modular function X -> sum of (k + 1) over k in X, with f(mask) set to -1."""
+    vals = list(modular_plus_concave(n, list(range(1, n + 1)), [0] * (n + 1)).values)
+    vals[mask] = -1
+    return intfn(vals)
+
+
 def assert_matches_oracle(f):
     for cond, got in kernel_hits(f).items():
         assert got == scalar_first_hit(cond, f.values, f.n), (f.values, cond)
@@ -557,6 +564,40 @@ class TestKernelParity:
             ConditionId.Q1: (q[0], ConditionId.Q1), ConditionId.Q2: q, ConditionId.Q3: (q[0], ConditionId.Q3),
             ConditionId.Q4: None, ConditionId.QH: None, ConditionId.QUASI: q, ConditionId.ORDINARY: o,
         }
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_long_carries_match_oracle(self, n):
+        # row X's lanes are rebuilt from the bit levels above its lowest set
+        # bit, so a row after a long carry (0111 -> 1000) rebuilds them all;
+        # lower f at each bit, and at the complement of each bit, and every
+        # witness of every scan must be the oracle's, in order
+        full = (1 << n) - 1
+        conds = ORDINAL_CHECKS + [ConditionId.ORDINARY]
+        for k in range(n):
+            for mask in (1 << k, full ^ (1 << k)):
+                f = modular_lowered(n, mask)
+                want = {cond: [] for cond in conds}
+                for x, y, u, i in lazy_incomparable_pairs(n):
+                    v = (f.values[x], f.values[y], f.values[u], f.values[i])
+                    for cond in conds:
+                        if not oracle_holds(cond, *v):
+                            want[cond].append(((x, y), oracle_tag(cond, *v)))
+                for cond in conds:
+                    got = [((w.x, w.y), w.condition) for w in iter_witnesses(f, cond)]
+                    assert got == want[cond], (n, mask, cond)
+
+    def test_long_carries_first_witnesses_n11_n12(self):
+        # lowered at the top bit, the first witnesses sit in row 2**(n-1),
+        # the row after the longest carry; pinned from the scan that applied
+        # every mask-and-shift step on every row
+        for n in (11, 12):
+            top = 1 << (n - 1)
+            q = ((top, 1), ConditionId.Q2)
+            assert kernel_hits(modular_lowered(n, top)) == {
+                ConditionId.Q1: (q[0], ConditionId.Q1), ConditionId.Q2: q, ConditionId.Q3: (q[0], ConditionId.Q3),
+                ConditionId.Q4: None, ConditionId.QH: None, ConditionId.QUASI: q,
+                ConditionId.ORDINARY: ((1, top), ConditionId.ORDINARY),
+            }
 
     @pytest.mark.parametrize("first, block", [(1, 1), (1, 7), (1, 1 << 18), (64, 64), (1 << 10, 1 << 12)])
     def test_block_size_does_not_move_witnesses(self, first, block):

@@ -161,3 +161,26 @@ class TestChainFormat:
             "ground_set": ["a", "b"],
             "families": [[], [""], ["", "a", "b"], ["", "a", "b", "a,b"]],
         }
+
+    @pytest.mark.parametrize("mask, error, message", [
+        (-1, IndexError, "subset mask -1 out of range [0, 4)"),
+        (4, IndexError, "subset mask 4 out of range [0, 4)"),
+        (True, TypeError, "subset mask must be an int, got bool"),
+        ("x", TypeError, "subset mask must be an int, got str"),
+    ])
+    def test_bad_mask_raises(self, mask, error, message):
+        from ordsub import LevelChain
+
+        # checked on every entry, even after mask 1 (== True) was named
+        for fam in ((0, mask), (0, 1, mask)):
+            with pytest.raises(error) as exc:
+                chain_to_json(GroundSet(("a", "b")), LevelChain(((), fam)))
+            assert str(exc.value) == message
+
+    def test_first_bad_mask_wins(self):
+        from ordsub import LevelChain
+
+        with pytest.raises(TypeError):
+            chain_to_json(GroundSet(("a", "b")), LevelChain(((), (0, True), (0, 4))))
+        with pytest.raises(IndexError):
+            chain_to_json(GroundSet(("a", "b")), LevelChain(((), (0, 4), (0, "x"))))
