@@ -255,15 +255,19 @@ def lane_chunks(vectors: Iterable[Sequence[int] | bytes], n: int) -> Iterator[La
         yield _slice(bytes(buf), n)
 
 
-def _ranks(f: SetFunction, exact: list[int] | None = None) -> list[int]:
-    """Each value's position among the sorted distinct values: exact for every ordinal condition.
+def _ordinal_keys(f: SetFunction, exact: list[int] | None = None) -> Sequence[RawKey]:
+    """The values, with rationals as their ``_exact_ints`` (pass them as exact if at hand).
 
-    Rationals are ranked by their ``_exact_ints`` (pass them as exact if at
-    hand), which keep their order and hash far faster than Fractions.
+    These keep the values' order and equalities, and hash far faster than Fractions.
     """
-    values = f.values
-    if f.codomain.kind == "rational":
-        values = _exact_ints(values) if exact is None else exact
+    if f.codomain.kind != "rational":
+        return f.values
+    return _exact_ints(f.values) if exact is None else exact
+
+
+def _ranks(f: SetFunction, exact: list[int] | None = None) -> list[int]:
+    """Each value's position among the sorted distinct values: exact for every ordinal condition."""
+    values = _ordinal_keys(f, exact)
     rank = {v: r for r, v in enumerate(sorted(set(values)))}
     return [rank[v] for v in values]
 
@@ -291,10 +295,17 @@ def _row_scan(
 
     A row is one predicate call on Lanes over every Y, lane Y holding
     f(Y), f(X∪Y) or f(X∩Y), each lane w bits wide with its guard bit on
-    top.  Comparable pairs are not masked out: there the values are
-    (vx, vy, vy, vx) or (vx, vy, vx, vy), where no pairwise predicate holds
-    (Injective, which is not pairwise, never comes here).  So a row's lowest
-    hit is its first incomparable violating Y.
+    top.  The u = f(X∪Y) and i = f(X∩Y) lanes come from f by one
+    mask-and-shift step per bit of X, and the steps of different bits
+    commute, so they are applied from the top bit down and the (u, i) after
+    each bit level is kept on a stack.  Row x shares the bits above its
+    lowest set bit with row x - 1, so it redoes only the levels from that
+    bit down: about 2 steps per row instead of n.
+
+    Comparable pairs are not masked out: there the values are (vx, vy, vy,
+    vx) or (vx, vy, vx, vy), where no pairwise predicate holds (Injective,
+    which is not pairwise, never comes here).  So a row's lowest hit is its
+    first incomparable violating Y.
     """
     size = 1 << n
     w = max(vals).bit_length() + 2
@@ -307,24 +318,30 @@ def _row_scan(
     lane = {v: format(v, f"0{w}b") for v in set(vals)}
     packed = int("".join(map(lane.__getitem__, reversed(vals))), 2)
     fy = Lanes(packed, guard)
-    todo = list(conds)
+    # level[j]: (u, i) once the steps of bits n-1 .. j of the current X are
+    # applied; level[n] is f itself
+    level = [(packed, packed)] * (n + 1)
+    todo = [(cond, VIOLATES[cond]) for cond in conds]
     for x in range(size):
-        u = i = packed
-        for j in range(n):
+        # bits above the lowest set bit of x are those of x - 1: start there
+        top = ((x & -x) or (size >> 1)).bit_length() - 1
+        u, i = level[top + 1]
+        for j in range(top, -1, -1):
             if x >> j & 1:  # lane Y takes f(Y | bit j), then f(X∪Y) after every bit of X
                 t = u & hi[j]
                 u = t | t >> (w << j)
             else:  # lane Y takes f(Y - bit j), then f(X∩Y) after every bit outside X
                 t = i & lo[j]
                 i = t | t << (w << j)
+            level[j] = u, i
         lanes = (Lanes(vals[x] * ones, guard), fy, Lanes(u, guard), Lanes(i, guard))
-        for cond in tuple(todo):
-            hits = VIOLATES[cond](*lanes)
+        for scan in tuple(todo):
+            hits = scan[1](*lanes)
             while hits:
                 low = hits & -hits
-                yield x, cond, low.bit_length() // w - 1
+                yield x, scan[0], low.bit_length() // w - 1
                 if first_only:
-                    todo.remove(cond)
+                    todo.remove(scan)
                     break
                 hits ^= low
         if not todo:
@@ -436,7 +453,7 @@ def injective_witness(f: SetFunction) -> ConditionWitness | None:
     """First pair of distinct subsets sharing a value, in lexicographic order."""
     seen: dict[RawKey, int] = {}
     best: tuple[int, int] | None = None
-    for m, v in enumerate(f.values):
+    for m, v in enumerate(_ordinal_keys(f)):
         if v in seen:
             cand = (seen[v], m)
             if best is None or cand < best:
@@ -451,7 +468,7 @@ def injective_witness(f: SetFunction) -> ConditionWitness | None:
 
 def is_injective(f: SetFunction) -> bool:
     """Whether f takes 2**n pairwise distinct values (induces a linear order)."""
-    return len(set(f.values)) == len(f.values)
+    return len(set(_ordinal_keys(f))) == len(f.values)
 
 
 @dataclass(frozen=True)

@@ -134,8 +134,22 @@ def load_set_function(path: str | Path) -> SetFunction:
 
 
 def chain_to_json(ground: GroundSet, chain: LevelChain) -> dict:
-    """The families as lists of sparse subset keys."""
+    """The families as lists of sparse subset keys, each distinct subset named once.
+
+    Every entry is checked, in order, before its name is looked up: True
+    would otherwise find the name of mask 1.
+    """
+    names: dict[int, str] = {}
+
+    def name(mask: int) -> str:
+        ground.check_mask(mask)
+        try:
+            return names[mask]
+        except KeyError:
+            out = names[mask] = ground.subset_str(mask)
+            return out
+
     return {
         "ground_set": list(ground.elements),
-        "families": [[ground.subset_str(m) for m in fam] for fam in chain.families],
+        "families": [[name(m) for m in fam] for fam in chain.families],
     }

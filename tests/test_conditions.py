@@ -267,6 +267,27 @@ class TestInjective:
         assert (w.x, w.y) == (0, 3)  # the two zeros
         assert w.reproduces()
 
+    def test_rational_as_on_fractions(self):
+        # rationals are compared as their exact ints; the verdict, the pair
+        # and its Fraction values are those of the Fractions themselves
+        ground, cod = intfn([0] * 16).ground, OrderedCodomain("rational")
+        for seed in range(30):
+            rng = random.Random(seed)
+            if seed % 3:
+                vals = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)) for _ in range(16)]
+            else:
+                vals = [Fraction(k, rng.randrange(1, 5)) for k in rng.sample(range(-50, 50), 16)]
+                vals = list({v: None for v in vals}) + [Fraction(99 + k) for k in range(16)]
+                vals = vals[:16]
+            f = SetFunction(ground, cod, tuple(vals))
+            pairs = [(x, y) for y in range(16) for x in range(y) if vals[x] == vals[y]]
+            w = injective_witness(f)
+            assert is_injective(f) == (w is None) == (not pairs)
+            if pairs:
+                assert (w.x, w.y) == min(pairs)
+                assert (w.v_x.key, w.v_y.key) == (vals[w.x], vals[w.y])
+                assert type(w.v_x.key) is Fraction
+
 
 class TestClassify:
     def test_const(self, f_const):
