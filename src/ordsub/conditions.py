@@ -335,13 +335,13 @@ def _row_scan(
                 i = t | t << (w << j)
             level[j] = u, i
         lanes = (Lanes(vals[x] * ones, guard), fy, Lanes(u, guard), Lanes(i, guard))
-        for scan in tuple(todo):
-            hits = scan[1](*lanes)
+        for cond, violates in tuple(todo):
+            hits = violates(*lanes)
             while hits:
                 low = hits & -hits
-                yield x, scan[0], low.bit_length() // w - 1
+                yield x, cond, low.bit_length() // w - 1
                 if first_only:
-                    todo.remove(scan)
+                    todo.remove((cond, violates))
                     break
                 hits ^= low
         if not todo:
