@@ -118,8 +118,9 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
         "levels: " + " < ".join(v.display() for v in lv.mu),
         f"p = {lv.p}",
     ]
-    for i, fam in enumerate(results["chain"]["families"]):
-        human.append(f"F_{i}: " + (" ".join("{" + s + "}" for s in fam) or "(empty)"))
+    if not args.json:  # one line per family, the bulk of the report; --json drops them
+        for i, fam in enumerate(results["chain"]["families"]):
+            human.append(f"F_{i}: " + (" ".join("{" + s + "}" for s in fam) or "(empty)"))
     if witness is not None:
         j = results["qh_witness"] = witness.to_json(f)
         human.append(f"Qh fails: X={{{j['X']}}} Y={{{j['Y']}}} values={j['values']}")

@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import OrdinalValue, RawKey, SetFunction
+from .core import OrdinalValue, RawKey, SetFunction, record
 
 Pair = tuple[int, int, int, int]  # (X, Y, X|Y, X&Y)
 
@@ -163,7 +162,7 @@ class Lanes:
         return Lanes(self.bits + other.bits, self.guard)
 
 
-@dataclass(frozen=True)
+@record
 class LaneChunk:
     """Rank vectors on the subsets of n elements, bit-sliced.
 
@@ -348,7 +347,7 @@ def _row_scan(
             return
 
 
-@dataclass(frozen=True)
+@record
 class ConditionWitness:
     """A pair (X, Y) whose four lattice values violate a condition.
 
@@ -471,7 +470,7 @@ def is_injective(f: SetFunction) -> bool:
     return len(set(_ordinal_keys(f))) == len(f.values)
 
 
-@dataclass(frozen=True)
+@record
 class ClassReport:
     """Flags for every condition, plus the first witness per failed one.
 

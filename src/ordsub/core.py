@@ -12,7 +12,6 @@ comparison, and ties must be reproducible.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -29,6 +28,81 @@ def _clip(value: object, limit: int = 60) -> str:
     return text if len(text) <= limit else text[:limit] + "..."
 
 
+class InitVar:
+    """``InitVar[T]`` marks a record field as an argument of ``__init__`` only.
+
+    It is passed on to ``__post_init__`` and not stored.
+    """
+
+    def __class_getitem__(cls, item: object) -> type:
+        return cls
+
+
+def _field_values(self) -> tuple:
+    return tuple([getattr(self, name) for name in self._fields])
+
+
+def _record_eq(self, other: object) -> bool:
+    if self is other:
+        return True
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _field_values(self) == _field_values(other)
+
+
+def _record_hash(self) -> int:
+    return hash(_field_values(self))
+
+
+def _record_repr(self) -> str:
+    shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _record_setattr(self, name: str, value: object) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+_RECORD_METHODS = {
+    "__eq__": _record_eq,
+    "__hash__": _record_hash,
+    "__repr__": _record_repr,
+    "__setattr__": _record_setattr,
+    "__delattr__": _record_delattr,
+}
+
+
+def record(cls: type) -> type:
+    """Make cls a frozen record of the fields its annotations list, in order.
+
+    The generated ``__init__`` takes the fields, by position or keyword, with
+    the class attributes as defaults, stores them and then calls
+    ``__post_init__`` if the class has one, passing it the ``InitVar`` fields.
+    Equality, hash and repr go field by field unless the class defines its
+    own, and assigning or deleting an attribute raises AttributeError.
+    Annotations are read as strings (``from __future__ import annotations``).
+    """
+    annotations = cls.__dict__.get("__annotations__", {})
+    defaults = {name: cls.__dict__[name] for name in annotations if name in cls.__dict__}
+    params = [f"{name}={name}" if name in defaults else name for name in annotations]
+    init_only = [name for name, annotation in annotations.items() if annotation.startswith("InitVar[")]
+    cls._fields = tuple(name for name in annotations if name not in init_only)
+    body = [f"    _set(self, {name!r}, {name})" for name in cls._fields]
+    if hasattr(cls, "__post_init__"):
+        body.append(f"    self.__post_init__({', '.join(init_only)})")
+    namespace = {**defaults, "_set": object.__setattr__}
+    exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body), namespace)
+    cls.__init__ = namespace["__init__"]
+    for name, method in _RECORD_METHODS.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
+
+
 def default_elements(n: int) -> tuple[str, ...]:
     """Element names a, b, c, ... for ground sets built without explicit names."""
     if not 1 <= n <= MAX_GROUND_SIZE:
@@ -36,7 +110,7 @@ def default_elements(n: int) -> tuple[str, ...]:
     return tuple(_DEFAULT_NAMES[:n])
 
 
-@dataclass(frozen=True)
+@record
 class GroundSet:
     """Ordered, distinct element names; element i corresponds to bit i.
 
@@ -68,15 +142,12 @@ class GroundSet:
             if name in seen:
                 raise ValueError(f"duplicate element name {_clip(name)}")
             seen.add(name)
+        # the number of subsets, 2**n, stored once: check_mask reads it on every call
+        object.__setattr__(self, "size", 1 << n)
 
     @property
     def n(self) -> int:
         return len(self.elements)
-
-    @property
-    def size(self) -> int:
-        """Number of subsets, 2**n."""
-        return 1 << len(self.elements)
 
     @property
     def full_mask(self) -> int:
@@ -114,7 +185,7 @@ class GroundSet:
         return ",".join(self.names_of(mask))
 
 
-@dataclass(frozen=True)
+@record
 class OrderedCodomain:
     """A totally ordered value set: integers, exact rationals, or ordered labels.
 
@@ -213,7 +284,7 @@ INTEGERS = OrderedCodomain("integer")
 RATIONALS = OrderedCodomain("rational")
 
 
-@dataclass(frozen=True)
+@record
 class OrdinalValue:
     """One value of an ordered codomain.  Comparable only within its codomain."""
 
@@ -256,7 +327,7 @@ class OrdinalValue:
         return self.display()
 
 
-@dataclass(frozen=True)
+@record
 class IntervalSublattice:
     """The interval [lo, hi] = all subsets Z with lo ⊆ Z ⊆ hi."""
 
@@ -300,7 +371,7 @@ def submasks(mask: int) -> Iterator[int]:
     yield from IntervalSublattice(0, mask).members()
 
 
-@dataclass(frozen=True)
+@record
 class SetFunction:
     """A total map from the subsets of a ground set into an ordered codomain.
 

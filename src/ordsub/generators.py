@@ -21,13 +21,12 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .conditions import ENUMERATION_CAP, ConditionId, lane_chunks
-from .core import INTEGERS, RATIONALS, GroundSet, OrderedCodomain, RawKey, SetFunction, _clip, default_elements
+from .core import INTEGERS, RATIONALS, GroundSet, OrderedCodomain, RawKey, SetFunction, _clip, default_elements, record
 
 
 # The length of the memoized tails.  Held as columns rather than as one
@@ -220,7 +219,7 @@ _BAD_CHAR_RE = re.compile(r"[^\sA-Za-z0-9&|!()]|(?<![A-Za-z0-9])[0-9]")
 MAX_PREDICATE_NESTING = 100
 
 
-@dataclass(frozen=True)
+@record
 class ClassPredicate:
     """A parsed boolean combination of condition flags."""
 

@@ -13,17 +13,15 @@ rejected rather than repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .conditions import ConditionId, ConditionWitness, check_condition
-from .core import INTEGERS, GroundSet, OrdinalValue, SetFunction
+from .core import INTEGERS, GroundSet, OrdinalValue, SetFunction, record
 
 
 class ChainError(ValueError):
     """A family chain violates nesting or does not induce a Qh function."""
 
 
-@dataclass(frozen=True)
+@record
 class LevelValues:
     """The distinct values of f, strictly increasing."""
 
@@ -34,7 +32,7 @@ class LevelValues:
         return len(self.mu)
 
 
-@dataclass(frozen=True)
+@record
 class LevelChain:
     """Families F_0, ..., F_p as sorted mask tuples; F_0 is empty."""
 

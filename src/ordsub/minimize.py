@@ -19,11 +19,10 @@ the structural claims are verified against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .conditions import ConditionId, check_condition, is_injective
-from .core import IntervalSublattice, OrdinalValue, RawKey, SetFunction
+from .core import IntervalSublattice, OrdinalValue, RawKey, SetFunction, record
 
 HYPOTHESIS_TAGS = ("Q1", "Q2", "Q4+injective")
 
@@ -32,7 +31,7 @@ class HypothesisError(ValueError):
     """A requested structural hypothesis was checked and does not hold."""
 
 
-@dataclass(frozen=True)
+@record
 class ArgminSet:
     """All global minimizers (ascending mask) and the minimum value."""
 
@@ -46,7 +45,7 @@ class ArgminSet:
         }
 
 
-@dataclass(frozen=True)
+@record
 class MinimalityCertificate:
     """Record that ``point`` is minimal over [∅, point] ∪ [point, E].
 
@@ -78,7 +77,7 @@ class MinimalityCertificate:
         }
 
 
-@dataclass(frozen=True)
+@record
 class DescentTrace:
     """Points visited by interval descent; values strictly decrease."""
 
@@ -99,7 +98,7 @@ class DescentTrace:
         }
 
 
-@dataclass(frozen=True)
+@record
 class ConstrainedMinimum:
     """Exact minimum of an objective over {X : f(X) > k-th distinct value of f}."""
 

@@ -27,11 +27,10 @@ Suites (names are the CLI tokens):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .conditions import ConditionId, LaneChunk, lane_chunks
-from .core import IntervalSublattice
+from .core import IntervalSublattice, record
 from .generators import ENUMERATION_CAP, injective_rank_vectors, weak_order_blocks
 from .minimize import minimal_over
 
@@ -45,7 +44,7 @@ Q1, Q2, Q3, Q4, QH, QUASI = (ConditionId.Q1, ConditionId.Q2, ConditionId.Q3, Con
 Outcome = tuple[int, list[tuple[int, str]]]
 
 
-@dataclass(frozen=True)
+@record
 class SuiteResult:
     suite: str
     n: int

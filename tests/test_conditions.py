@@ -825,15 +825,17 @@ class TestKernelFootprint:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["results"]["OrdinarySubmodular"] is True
 
-    def test_numpy_not_imported_by_version_verify_search(self, tmp_path):
-        # nothing in the package imports numpy, whichever subcommand runs
+    @staticmethod
+    def _imported_by_every_subcommand(tmp_path, modules):
+        """Which of modules are imported after --version and every subcommand run in one process."""
         path = tmp_path / "f.json"
         path.write_text(json.dumps(set_function_to_json(random_function(6, distinct_values=4, seed=5))))
         f = str(path)
         argvs = [
             ["--version"], ["classify", "--json", "--witness", f], ["minimize", f],
             ["minimize", "--mode", "descent", "--start", "a,b", f], ["certify", "--point", "", f],
-            ["hierarchy", f], ["constrained", f, f, "--k", "1"], ["verify", "--suite", "lemma1", "--n", "2"],
+            ["hierarchy", f], ["hierarchy", "--json", f], ["constrained", f, f, "--k", "1"],
+            ["verify", "--suite", "lemma1", "--n", "2"],
             ["generate", "random", "--n", "3"], ["search", "--n", "2", "--predicate", "Q4 & !Q3"],
         ]
         code = (
@@ -845,8 +847,18 @@ class TestKernelFootprint:
             "            main(argv)\n"
             "        except SystemExit:\n"
             "            pass\n"
-            "print('numpy' in sys.modules)\n"
+            f"print([m for m in {modules!r} if m in sys.modules])\n"
         )
         proc = _run_python(code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip()
+
+    def test_numpy_not_imported_by_version_verify_search(self, tmp_path):
+        # nothing in the package imports numpy, whichever subcommand runs
+        assert self._imported_by_every_subcommand(tmp_path, ["numpy"]) == "[]"
+
+    def test_start_up_imports_no_code_introspection(self, tmp_path):
+        # the records are built without dataclasses, which would pull in
+        # inspect and, through it, ast, dis and tokenize at every start
+        heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+        assert self._imported_by_every_subcommand(tmp_path, heavy) == "[]"
