@@ -3,7 +3,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from ordsub import SetFunction
+from ordsub import RATIONALS, OrderedCodomain, SetFunction
 from ordsub.cli import main as cli_main
 
 
@@ -12,6 +12,25 @@ def intfn(values, n=None):
     if n is None:
         n = (len(values) - 1).bit_length()
     return SetFunction.from_ints(n, values)
+
+
+SPARSE_LABELS = OrderedCodomain("labels", tuple(f"L{i:02d}" for i in range(40)))
+
+
+def codomain_variants(functions):
+    """Each integer function, then a rational and a labels copy in the same order.
+
+    The rational copy takes v to (v - 2)/3, negative at v = 1 and below,
+    written as [v - 2, 3] on even masks and as [2v - 4, 6] on odd ones, so
+    equal values come in two spellings.  The labels copy takes v to the label
+    at position 2v, leaving every other label unused.
+    """
+    for f in functions:
+        yield f
+        yield SetFunction(f.ground, RATIONALS, tuple(
+            [v - 2, 3] if m % 2 == 0 else [2 * v - 4, 6] for m, v in enumerate(f.values)
+        ))
+        yield SetFunction(f.ground, SPARSE_LABELS, tuple(SPARSE_LABELS.label_order[2 * v] for v in f.values))
 
 
 def lane_bit(k):

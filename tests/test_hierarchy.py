@@ -15,7 +15,7 @@ from ordsub import (
     random_function,
 )
 
-from conftest import intfn
+from conftest import codomain_variants, intfn
 from test_conditions import scalar_first_hit
 
 
@@ -46,8 +46,8 @@ class TestLevelFamily:
             level_family(f_cut, -1)
 
     def test_membership_definition(self):
-        for seed in range(10):
-            f = random_function(2, distinct_values=3, seed=seed)
+        functions = [random_function(2, distinct_values=3, seed=seed) for seed in range(10)]
+        for f in codomain_variants(functions):
             mu = f.distinct_keys()
             for i in range(1, len(mu) + 1):
                 fam = set(level_family(f, i))
@@ -62,12 +62,14 @@ class TestFamilyChain:
         assert family_chain(f_card).families == ((), (0,), (0, 1, 2), (0, 1, 2, 3))
 
     def test_strict_nesting_everywhere(self):
-        for f in enumerate_weak_orders(2):
+        for f in codomain_variants(enumerate_weak_orders(2)):
             fams = family_chain(f).families
             assert fams[0] == ()
             assert fams[-1] == tuple(range(4))
             for a, b in zip(fams, fams[1:]):
                 assert set(a) < set(b)
+            mu = sorted(set(f.values))
+            assert fams[1:] == tuple(tuple(m for m in range(4) if f.values[m] <= cut) for cut in mu)
 
 
 class TestCheckQh:

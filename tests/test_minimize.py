@@ -23,7 +23,7 @@ from ordsub import (
 from ordsub.conditions import lane_chunks
 from ordsub.minimize import minimal_over
 
-from conftest import intfn, lane_bit
+from conftest import codomain_variants, intfn, lane_bit
 
 
 def brute_min_over(f, masks):
@@ -46,7 +46,7 @@ class TestArgmin:
         assert argmin(f_cut).minimizers == (0, 3)
 
     def test_matches_oracle(self):
-        for f in enumerate_weak_orders(2):
+        for f in codomain_variants(enumerate_weak_orders(2)):
             a = argmin(f)
             gmin = min(f.values)
             assert a.min_value.key == gmin
@@ -65,7 +65,7 @@ class TestIntervalMinimality:
         assert all(is_interval_local_min(f_const, x) for x in range(4))
 
     def test_matches_oracle(self):
-        for f in enumerate_weak_orders(2):
+        for f in codomain_variants(enumerate_weak_orders(2)):
             for x in range(4):
                 lower, upper = interval_masks(f, x)
                 assert is_lower_interval_min(f, x) == (f.values[x] <= brute_min_over(f, lower))
@@ -101,7 +101,7 @@ class TestLiftToGlobal:
         assert lift_to_global(f_cut, 3, verify=True) == 3
 
     def test_reaches_global_min_on_q1_functions(self):
-        for f in enumerate_weak_orders(2):
+        for f in codomain_variants(enumerate_weak_orders(2)):
             if check_condition(f, ConditionId.Q1) is not None:
                 continue
             gmin = min(f.values)
@@ -129,7 +129,7 @@ class TestIntervalDescent:
         assert trace.certificate.is_global
 
     def test_trace_invariants(self):
-        for f in enumerate_weak_orders(2):
+        for f in codomain_variants(enumerate_weak_orders(2)):
             for start in range(4):
                 trace = interval_descent(f, start)
                 vals = [v.key for _, v in trace.steps]
@@ -199,7 +199,7 @@ class TestCertify:
 
     def test_global_truthfulness(self):
         # whenever a certificate says global, the point attains the brute minimum
-        for f in enumerate_weak_orders(2):
+        for f in codomain_variants(enumerate_weak_orders(2)):
             gmin = min(f.values)
             for x in range(4):
                 cert = certify_global_min(f, x)
@@ -265,12 +265,15 @@ class TestConstrainedMinimize:
             constrained_minimize(phi, f_cut, 1)
 
     def test_matches_filtered_enumeration(self, f_card):
-        for f in enumerate_weak_orders(2):
+        objectives = list(codomain_variants([f_card]))[:2]  # integer and rational
+        for f in codomain_variants(enumerate_weak_orders(2)):
             mu = sorted(set(f.values))
             for k in range(1, len(mu)):
-                r = constrained_minimize(f_card, f, k)
-                feasible = [m for m in range(4) if f.values[m] > mu[k - 1]]
-                best = min(f_card.values[m] for m in feasible)
-                assert r.argmin.min_value.key == best
-                assert r.argmin.minimizers == tuple(m for m in feasible if f_card.values[m] == best)
-                assert r.feasible_count == len(feasible)
+                for phi in objectives:
+                    r = constrained_minimize(phi, f, k)
+                    feasible = [m for m in range(4) if f.values[m] > mu[k - 1]]
+                    best = min(phi.values[m] for m in feasible)
+                    assert r.argmin.min_value.key == best
+                    assert r.argmin.minimizers == tuple(m for m in feasible if phi.values[m] == best)
+                    assert r.feasible_count == len(feasible)
+                    assert r.threshold.key == mu[k - 1]
