@@ -20,12 +20,13 @@ it decides many at once.  Vacuous hypotheses count as satisfied.
 ``Lanes`` packs many values into one Python int, one lane each, and is the
 only scan engine.  Its lanes run across Y for a single function: each row X
 is one predicate call over every Y (``_row_scan``), so memory is O(2**n)
-and time O(4**n).  The values are mapped once to dense ranks, which is
-exact for every ordinal condition since they depend on order alone;
-ordinary submodularity uses the values as exact nonnegative integers
-instead (rationals scaled by the LCM of their denominators, less their
-minimum).  The witness is the lexicographically first violating (X, Y) by
-mask, so witnesses are deterministic.
+and time O(4**n).  The ordinal conditions scan ``f.ranks``, the dense
+ranks that ``core`` computes once per function, so that the level family
+F_i is {X : ranks[X] < i}.  Ranks are exact for every ordinal condition,
+which depends on order alone.  Ordinary submodularity scans the values as
+exact nonnegative integers instead (rationals scaled by the LCM of their
+denominators, less their minimum).  The witness is the lexicographically
+first violating (X, Y) by mask, so witnesses are deterministic.
 
 For the exhaustive suites and witness search, at n <= ENUMERATION_CAP, the
 lanes run across functions instead (``lane_chunks``): a chunk of enumerated
@@ -38,11 +39,10 @@ that several predicates, pairs or the complement dual repeat is made once.
 from __future__ import annotations
 
 import enum
-import math
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import OrdinalValue, RawKey, SetFunction, record
+from .core import OrdinalValue, SetFunction, _exact_ints, record
 
 Pair = tuple[int, int, int, int]  # (X, Y, X|Y, X&Y)
 
@@ -254,35 +254,6 @@ def lane_chunks(vectors: Iterable[Sequence[int] | bytes], n: int) -> Iterator[La
         yield _slice(bytes(buf), n)
 
 
-def _ordinal_keys(f: SetFunction, exact: list[int] | None = None) -> Sequence[RawKey]:
-    """The values, with rationals as their ``_exact_ints`` (pass them as exact if at hand).
-
-    These keep the values' order and equalities, and hash far faster than Fractions.
-    """
-    if f.codomain.kind != "rational":
-        return f.values
-    return _exact_ints(f.values) if exact is None else exact
-
-
-def _ranks(f: SetFunction, exact: list[int] | None = None) -> list[int]:
-    """Each value's position among the sorted distinct values: exact for every ordinal condition."""
-    values = _ordinal_keys(f, exact)
-    rank = {v: r for r, v in enumerate(sorted(set(values)))}
-    return [rank[v] for v in values]
-
-
-def _exact_ints(values: Sequence[RawKey]) -> list[int]:
-    """The values times the LCM of their denominators, less their minimum.
-
-    Order and the comparison of sums of two are kept, as ordinary
-    submodularity needs, and none is negative, as lanes need.
-    """
-    scale = math.lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (scale // v.denominator) for v in values]
-    low = min(ints)
-    return [v - low for v in ints]
-
-
 def _row_scan(
     n: int, vals: Sequence[int], conds: Sequence[ConditionId], first_only: bool
 ) -> Iterator[tuple[int, ConditionId, int]]:
@@ -390,11 +361,18 @@ def _witness_at(f: SetFunction, cond: ConditionId, x: int, y: int) -> ConditionW
     return ConditionWitness(cond, x, y, f.value(x), f.value(y), f.value(x | y), f.value(x & y))
 
 
+def _require_numeric(f: SetFunction, cond: ConditionId) -> None:
+    """Ordinary submodularity adds values, which a labels codomain cannot."""
+    if cond is ConditionId.ORDINARY and not f.codomain.is_numeric:
+        raise ValueError("ordinary submodularity needs a numeric codomain (integer or rational)")
+
+
 def holds_at_pair(f: SetFunction, cond: ConditionId, x: int, y: int) -> bool:
-    """Evaluate one condition at the single pair (X, Y)."""
+    """Evaluate one condition at the single pair (X, Y); every condition, Injective too, holds at X = Y."""
     f.ground.check_mask(x)
     f.ground.check_mask(y)
-    return not _violates(f, cond, x, y)
+    _require_numeric(f, cond)
+    return x == y or not _violates(f, cond, x, y)
 
 
 def _first_witnesses(f: SetFunction, conds: Sequence[ConditionId]) -> dict[ConditionId, ConditionWitness]:
@@ -403,10 +381,9 @@ def _first_witnesses(f: SetFunction, conds: Sequence[ConditionId]) -> dict[Condi
     The ordinal conditions share one row scan over the ranks.
     """
     ordinal = [c for c in conds if c is not ConditionId.ORDINARY]
-    exact = _exact_ints(f.values) if ConditionId.ORDINARY in conds else None
-    scans = [(_ranks(f, exact), ordinal)] if ordinal else []
-    if exact is not None:
-        scans.append((exact, [ConditionId.ORDINARY]))
+    scans = [(f.ranks, ordinal)] if ordinal else []
+    if ConditionId.ORDINARY in conds:
+        scans.append((_exact_ints(f.values), [ConditionId.ORDINARY]))
     hits = {cond: (x, y) for vals, group in scans for x, cond, y in _row_scan(f.n, vals, group, True)}
     return {cond: _witness_at(f, cond, *hits[cond]) for cond in conds if cond in hits}
 
@@ -429,7 +406,8 @@ def iter_witnesses(f: SetFunction, cond: ConditionId) -> Iterator[ConditionWitne
     """
     if cond is ConditionId.INJECTIVE:
         raise ValueError("injectivity also concerns comparable pairs; see injective_witness")
-    vals = _exact_ints(f.values) if cond is ConditionId.ORDINARY else _ranks(f)
+    _require_numeric(f, cond)
+    vals = _exact_ints(f.values) if cond is ConditionId.ORDINARY else f.ranks
     for x, _, y in _row_scan(f.n, vals, (cond,), False):
         yield _witness_at(f, cond, x, y)
 
@@ -439,8 +417,7 @@ def check_ordinary_submodular(f: SetFunction) -> ConditionWitness | None:
 
     Only defined for numeric codomains; labels have no additive structure.
     """
-    if not f.codomain.is_numeric:
-        raise ValueError("ordinary submodularity needs a numeric codomain (integer or rational)")
+    _require_numeric(f, ConditionId.ORDINARY)
     return _first_witnesses(f, (ConditionId.ORDINARY,)).get(ConditionId.ORDINARY)
 
 
@@ -449,25 +426,21 @@ def is_ordinary_submodular(f: SetFunction) -> bool:
 
 
 def injective_witness(f: SetFunction) -> ConditionWitness | None:
-    """First pair of distinct subsets sharing a value, in lexicographic order."""
-    seen: dict[RawKey, int] = {}
-    best: tuple[int, int] | None = None
-    for m, v in enumerate(_ordinal_keys(f)):
-        if v in seen:
-            cand = (seen[v], m)
-            if best is None or cand < best:
-                best = cand
-        else:
-            seen[v] = m
-    if best is None:
+    """First pair of distinct subsets sharing a value, in lexicographic order.
+
+    X is the first subset whose rank comes again, and Y where it next does.
+    """
+    ranks = f.ranks
+    last = {r: m for m, r in enumerate(ranks)}
+    x = next((m for m, r in enumerate(ranks) if last[r] != m), None)
+    if x is None:
         return None
-    x, y = best
-    return _witness_at(f, ConditionId.INJECTIVE, x, y)
+    return _witness_at(f, ConditionId.INJECTIVE, x, ranks.index(ranks[x], x + 1))
 
 
 def is_injective(f: SetFunction) -> bool:
     """Whether f takes 2**n pairwise distinct values (induces a linear order)."""
-    return len(set(_ordinal_keys(f))) == len(f.values)
+    return max(f.ranks) == f.size - 1
 
 
 @record

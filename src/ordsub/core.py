@@ -12,7 +12,9 @@ comparison, and ties must be reproducible.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 MAX_GROUND_SIZE = 20
@@ -20,6 +22,18 @@ MAX_GROUND_SIZE = 20
 RawKey = Union[int, Fraction]
 
 _DEFAULT_NAMES = "abcdefghijklmnopqrst"
+
+
+def _exact_ints(values: Sequence[RawKey]) -> list[int]:
+    """The values times the LCM of their denominators, less their minimum.
+
+    Order and the comparison of sums of two are kept, as ordinary
+    submodularity needs, and none is negative, as lanes need.
+    """
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    low = min(ints)
+    return [v - low for v in ints]
 
 
 def _clip(value: object, limit: int = 60) -> str:
@@ -377,8 +391,8 @@ class SetFunction:
 
     ``values`` holds raw comparable keys indexed by subset mask (ints for the
     integer kind, Fractions for rational, label positions for labels).  Use
-    :meth:`value` for codomain-tagged values.  Instances are immutable and
-    safe to share across workers.
+    :meth:`value` for codomain-tagged values and ``ranks`` to compare them.
+    Instances are immutable and safe to share across workers.
     """
 
     ground: GroundSet
@@ -471,6 +485,19 @@ class SetFunction:
         sub_ground = GroundSet(self.ground.names_of(box.free_mask), allow_empty=True)
         return SetFunction(sub_ground, self.codomain, tuple(self.values[m] for m in box.members()))
 
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """Each subset's level index: its value's place among the p distinct values, 0..p-1.
+
+        They keep every < and == of the values.  Rationals are ranked by their
+        ``_exact_ints``, which hash far faster than Fractions.  Computed on
+        first read and kept in the instance dict, outside the record's fields.
+        """
+        keys = _exact_ints(self.values) if self.codomain.kind == "rational" else self.values
+        rank = {v: r for r, v in enumerate(sorted(set(keys)))}
+        return tuple(map(rank.__getitem__, keys))
+
     def distinct_keys(self) -> tuple[RawKey, ...]:
         """The distinct values attained, in increasing order."""
-        return tuple(sorted(set(self.values)))
+        key_of_rank = dict(zip(self.ranks, self.values))
+        return tuple(map(key_of_rank.__getitem__, range(len(key_of_rank))))

@@ -1,7 +1,8 @@
 """Level values, nested level-set families, and chain-to-function construction.
 
 For f with distinct values mu_1 < ... < mu_p, the i-th level family is
-F_i = {X : f(X) <= mu_i}.  These nest strictly:
+F_i = {X : f(X) <= mu_i}, which is {X : ranks[X] < i} in the dense ranks
+``SetFunction.ranks``.  These nest strictly:
 
     ∅ = F_0 ⊂ F_1 ⊂ ... ⊂ F_p = 2^E
 
@@ -47,24 +48,23 @@ def levels(f: SetFunction) -> LevelValues:
     return LevelValues(tuple(OrdinalValue(f.codomain, k) for k in f.distinct_keys()))
 
 
+def _family(ranks: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """F_i = {X : ranks[X] < i}, ascending."""
+    return tuple(m for m, r in enumerate(ranks) if r < i)
+
+
 def level_family(f: SetFunction, i: int) -> tuple[int, ...]:
     """Masks with f(X) <= mu_i, ascending; i = 0 gives the empty family."""
-    mu = f.distinct_keys()
-    if not 0 <= i <= len(mu):
-        raise ValueError(f"level index must be in [0, {len(mu)}], got {i}")
-    if i == 0:
-        return ()
-    cut = mu[i - 1]
-    return tuple(m for m in range(f.size) if f.values[m] <= cut)
+    p = max(f.ranks) + 1
+    if not 0 <= i <= p:
+        raise ValueError(f"level index must be in [0, {p}], got {i}")
+    return _family(f.ranks, i)
 
 
 def family_chain(f: SetFunction) -> LevelChain:
-    """The full chain F_0 ⊂ F_1 ⊂ ... ⊂ F_p; strict nesting holds because every mu_i is attained."""
-    mu = f.distinct_keys()
-    fams: list[tuple[int, ...]] = [()]
-    for cut in mu:
-        fams.append(tuple(m for m in range(f.size) if f.values[m] <= cut))
-    return LevelChain(tuple(fams))
+    """The full chain F_0 ⊂ F_1 ⊂ ... ⊂ F_p; strict nesting holds because every rank is attained."""
+    ranks = f.ranks
+    return LevelChain(tuple(_family(ranks, i) for i in range(max(ranks) + 2)))
 
 
 def check_qh(f: SetFunction) -> ConditionWitness | None:

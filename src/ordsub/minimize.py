@@ -14,7 +14,7 @@ of E:
 "Minimal over an interval" is non-strict: f(X) <= f(Z) for every Z in the
 interval; ties do not disqualify.  All search is brute force over the dense
 table, which is the point at desk scale: these routines double as the oracle
-the structural claims are verified against.
+the structural claims are verified against.  Every comparison reads ``f.ranks``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .conditions import ConditionId, check_condition, is_injective
-from .core import IntervalSublattice, OrdinalValue, RawKey, SetFunction, record
+from .core import IntervalSublattice, OrdinalValue, SetFunction, record
 
 HYPOTHESIS_TAGS = ("Q1", "Q2", "Q4+injective")
 
@@ -126,7 +126,7 @@ def _enc_value(v: OrdinalValue) -> object:
 def minimal_over(vals: Sequence, x: int, lo: int, hi: int, true: int = True) -> int:
     """f(X) <= f(Z) for every Z in the interval [lo, hi].
 
-    On one function's values the result is a bool.  On the columns of a
+    On one function's ranks the result is a bool.  On the columns of a
     ``LaneChunk``, with ``true`` its ``full``, it is the bitset of the
     chunk's functions minimal there at X.
     """
@@ -138,28 +138,34 @@ def minimal_over(vals: Sequence, x: int, lo: int, hi: int, true: int = True) -> 
     return out
 
 
-def _min_over(vals: Sequence[RawKey], *boxes: IntervalSublattice) -> tuple[RawKey, int]:
-    """(value, mask) minimum over the intervals; ties resolve to the smallest mask."""
-    return min((vals[m], m) for box in boxes for m in box.members())
+def _min_over(ranks: Sequence[int], *boxes: IntervalSublattice) -> tuple[int, int]:
+    """(rank, mask) minimum over the intervals; ties resolve to the smallest mask."""
+    return min((ranks[m], m) for box in boxes for m in box.members())
+
+
+def _minimizers(f: SetFunction, masks: Sequence[int]) -> ArgminSet:
+    """The masks of least rank among masks, ascending, and their value."""
+    ranks = f.ranks
+    best = min(ranks[m] for m in masks)
+    minimizers = tuple(m for m in masks if ranks[m] == best)
+    return ArgminSet(minimizers, f.value(minimizers[0]))
 
 
 def argmin(f: SetFunction) -> ArgminSet:
     """Exhaustive global argmin: every minimizer, ascending mask, exact."""
-    vals = f.values
-    best = min(vals)
-    return ArgminSet(tuple(m for m, v in enumerate(vals) if v == best), OrdinalValue(f.codomain, best))
+    return _minimizers(f, range(f.size))
 
 
 def is_lower_interval_min(f: SetFunction, x: int) -> bool:
     """True iff f(X) <= f(Z) for every Z ⊆ X."""
     f.ground.check_mask(x)
-    return minimal_over(f.values, x, 0, x)
+    return minimal_over(f.ranks, x, 0, x)
 
 
 def is_interval_local_min(f: SetFunction, x: int) -> bool:
     """True iff f(X) <= f(Z) for every Z in [∅, X] ∪ [X, E]."""
     f.ground.check_mask(x)
-    return minimal_over(f.values, x, 0, x) and minimal_over(f.values, x, x, f.ground.full_mask)
+    return minimal_over(f.ranks, x, 0, x) and minimal_over(f.ranks, x, x, f.ground.full_mask)
 
 
 def lift_to_global(f: SetFunction, x: int, verify: bool = False) -> int:
@@ -176,7 +182,7 @@ def lift_to_global(f: SetFunction, x: int, verify: bool = False) -> int:
         w = check_condition(f, ConditionId.Q1)
         if w is not None:
             raise HypothesisError(f"function does not satisfy Q1; first witness at {w.to_json(f)}")
-    return _min_over(f.values, IntervalSublattice(x, f.ground.full_mask))[1]
+    return _min_over(f.ranks, IntervalSublattice(x, f.ground.full_mask))[1]
 
 
 def certify_global_min(
@@ -233,12 +239,12 @@ def interval_descent(f: SetFunction, start: int) -> DescentTrace:
     certificate reports whether a verified hypothesis makes it global.
     """
     f.ground.check_mask(start)
-    vals, full = f.values, f.ground.full_mask
+    ranks, full = f.ranks, f.ground.full_mask
     x = start
     steps = [(x, f.value(x))]
     while True:
-        best_v, best_m = _min_over(vals, IntervalSublattice(0, x), IntervalSublattice(x, full))
-        if not best_v < vals[x]:
+        best_r, best_m = _min_over(ranks, IntervalSublattice(0, x), IntervalSublattice(x, full))
+        if not best_r < ranks[x]:
             break
         x = best_m
         steps.append((x, f.value(x)))
@@ -270,17 +276,10 @@ def constrained_minimize(phi: SetFunction, f: SetFunction, k: int) -> Constraine
         raise ValueError("objective and constraint functions must share a ground set")
     if not phi.codomain.is_numeric:
         raise ValueError("objective must have a numeric codomain")
-    mu = f.distinct_keys()
-    p = len(mu)
+    ranks = f.ranks
+    p = max(ranks) + 1
     if not 1 <= k <= p - 1:
         raise ValueError(f"k must be in [1, {p - 1}] for {p} distinct constraint values, got {k}")
-    threshold = mu[k - 1]
-    feasible = [m for m in range(f.size) if f.values[m] > threshold]
-    best = min(phi.values[m] for m in feasible)
-    minimizers = tuple(m for m in feasible if phi.values[m] == best)
-    return ConstrainedMinimum(
-        ArgminSet(minimizers, OrdinalValue(phi.codomain, best)),
-        len(feasible),
-        k,
-        OrdinalValue(f.codomain, threshold),
-    )
+    # mu_k has rank k - 1, so the feasible X are those of rank k or more
+    feasible = [m for m, r in enumerate(ranks) if r >= k]
+    return ConstrainedMinimum(_minimizers(phi, feasible), len(feasible), k, f.value(ranks.index(k - 1)))

@@ -31,7 +31,7 @@ from typing import Callable
 
 from .conditions import ConditionId, LaneChunk, lane_chunks
 from .core import IntervalSublattice, record
-from .generators import ENUMERATION_CAP, injective_rank_vectors, weak_order_blocks
+from .generators import _check_cap, injective_rank_vectors, weak_order_blocks
 from .minimize import minimal_over
 
 Q1, Q2, Q3, Q4, QH, QUASI = (ConditionId.Q1, ConditionId.Q2, ConditionId.Q3, ConditionId.Q4,
@@ -166,8 +166,7 @@ def run_suite(suite: str, n: int) -> SuiteResult:
     """Run one named suite exhaustively at the given n (capped at 3)."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITE_NAMES)}")
-    if not 1 <= n <= ENUMERATION_CAP:
-        raise ValueError(f"suites run at 1 <= n <= {ENUMERATION_CAP}, got {n}")
+    _check_cap(n)
     scanned = hyp_count = violations = 0
     first: str | None = None
     vectors = injective_rank_vectors if suite == "theorem2" else weak_order_blocks

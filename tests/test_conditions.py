@@ -134,7 +134,7 @@ class TestHoldsAtPair:
 
     def test_equal_arguments_always_hold(self, all_fixtures):
         for f in all_fixtures.values():
-            for cond in PAIRWISE:
+            for cond in PAIRWISE + [ConditionId.INJECTIVE]:
                 for x in range(f.size):
                     assert holds_at_pair(f, cond, x, x)
 
@@ -238,6 +238,17 @@ class TestOrdinarySubmodular:
         f = SetFunction(GroundSet(("a",)), cod, ("lo", "hi"))
         with pytest.raises(ValueError):
             is_ordinary_submodular(f)
+
+    def test_labels_raise_on_every_path(self):
+        # label positions have no sums, whichever entry point is asked
+        cod = OrderedCodomain("labels", ("lo", "hi"))
+        f = SetFunction(GroundSet(("a", "b")), cod, ("hi", "lo", "lo", "hi"))
+        with pytest.raises(ValueError, match="numeric codomain"):
+            check_ordinary_submodular(f)
+        with pytest.raises(ValueError, match="numeric codomain"):
+            holds_at_pair(f, ConditionId.ORDINARY, 1, 2)
+        with pytest.raises(ValueError, match="numeric codomain"):
+            list(iter_witnesses(f, ConditionId.ORDINARY))
 
     def test_exact_rational_sums(self):
         # sums that differ by 1/(q*(q+1)); float arithmetic cannot tell these apart

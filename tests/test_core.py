@@ -5,14 +5,17 @@ from hypothesis import given, strategies as st
 
 from ordsub import (
     INTEGERS,
+    RATIONALS,
     GroundSet,
     IntervalSublattice,
     OrderedCodomain,
     SetFunction,
+    enumerate_weak_orders,
+    random_function,
 )
 from ordsub.core import submasks
 
-from conftest import intfn
+from conftest import codomain_variants, intfn
 
 
 def small_int_functions(max_n=3):
@@ -171,6 +174,39 @@ class TestSetFunction:
             f_r3.value(4)
         with pytest.raises(IndexError):
             f_r3.value(-1)
+
+
+class TestRanks:
+    @staticmethod
+    def functions():
+        yield from codomain_variants(enumerate_weak_orders(2))
+        yield from codomain_variants(random_function(3, distinct_values=d, seed=d) for d in range(1, 9))
+        yield SetFunction(GroundSet(("a", "b")), RATIONALS, (Fraction(1, 3), [2, 6], Fraction(-5, 2), 7))
+
+    def test_dense_and_order_preserving(self):
+        for f in self.functions():
+            ranks = f.ranks
+            assert type(ranks) is tuple and len(ranks) == f.size
+            assert sorted(set(ranks)) == list(range(max(ranks) + 1))
+            for x in range(f.size):
+                for y in range(f.size):
+                    assert (ranks[x] < ranks[y]) == (f.values[x] < f.values[y])
+                    assert (ranks[x] == ranks[y]) == (f.values[x] == f.values[y])
+            assert f.distinct_keys() == tuple(sorted(set(f.values)))
+
+    def test_read_lazily_outside_the_record(self):
+        for f in codomain_variants([intfn([3, 1, 3, 0])]):
+            twin = SetFunction(f.ground, f.codomain, f.values)
+            before = hash(f), repr(f)
+            assert "ranks" not in vars(f)
+            assert f.ranks == (2, 1, 2, 0)
+            assert (hash(f), repr(f)) == before
+            assert f == twin and twin == f
+            with pytest.raises(AttributeError):
+                f.ranks = (0, 0, 0, 0)
+            with pytest.raises(AttributeError):
+                del f.ranks
+            assert f.ranks == (2, 1, 2, 0)
 
 
 class TestComplementDual:
