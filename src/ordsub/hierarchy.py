@@ -50,7 +50,7 @@ def levels(f: SetFunction) -> LevelValues:
 
 def _family(ranks: tuple[int, ...], i: int) -> tuple[int, ...]:
     """F_i = {X : ranks[X] < i}, ascending."""
-    return tuple(m for m, r in enumerate(ranks) if r < i)
+    return tuple(m for m in range(len(ranks)) if ranks[m] < i)
 
 
 def level_family(f: SetFunction, i: int) -> tuple[int, ...]:

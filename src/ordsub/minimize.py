@@ -143,17 +143,10 @@ def _min_over(ranks: Sequence[int], *boxes: IntervalSublattice) -> tuple[int, in
     return min((ranks[m], m) for box in boxes for m in box.members())
 
 
-def _minimizers(f: SetFunction, masks: Sequence[int]) -> ArgminSet:
-    """The masks of least rank among masks, ascending, and their value."""
-    ranks = f.ranks
-    best = min(ranks[m] for m in masks)
-    minimizers = tuple(m for m in masks if ranks[m] == best)
-    return ArgminSet(minimizers, f.value(minimizers[0]))
-
-
 def argmin(f: SetFunction) -> ArgminSet:
-    """Exhaustive global argmin: every minimizer, ascending mask, exact."""
-    return _minimizers(f, range(f.size))
+    """Exhaustive global argmin: every minimizer (rank 0), ascending mask, exact."""
+    minimizers = tuple(m for m, r in enumerate(f.ranks) if not r)
+    return ArgminSet(minimizers, f.value(minimizers[0]))
 
 
 def is_lower_interval_min(f: SetFunction, x: int) -> bool:
@@ -282,4 +275,9 @@ def constrained_minimize(phi: SetFunction, f: SetFunction, k: int) -> Constraine
         raise ValueError(f"k must be in [1, {p - 1}] for {p} distinct constraint values, got {k}")
     # mu_k has rank k - 1, so the feasible X are those of rank k or more
     feasible = [m for m, r in enumerate(ranks) if r >= k]
-    return ConstrainedMinimum(_minimizers(phi, feasible), len(feasible), k, f.value(ranks.index(k - 1)))
+    objective = phi.ranks
+    best = min(objective[m] for m in feasible)
+    minimizers = tuple(m for m in feasible if objective[m] == best)
+    return ConstrainedMinimum(
+        ArgminSet(minimizers, phi.value(minimizers[0])), len(feasible), k, f.value(ranks.index(k - 1))
+    )
