@@ -20,15 +20,17 @@ SPARSE_LABELS = OrderedCodomain("labels", tuple(f"L{i:02d}" for i in range(40)))
 def codomain_variants(functions):
     """Each integer function, then a rational and a labels copy in the same order.
 
-    The rational copy takes v to (v - 2)/3, negative at v = 1 and below,
-    written as [v - 2, 3] on even masks and as [2v - 4, 6] on odd ones, so
-    equal values come in two spellings.  The labels copy takes v to the label
-    at position 2v, leaving every other label unused.
+    The rational copy takes v to (3v - 8)/12, negative for v <= 2, written
+    as [3v - 8, 12] on even masks and as [6v - 16, 24] on odd ones, so equal
+    values come in two spellings; reduced, the denominators differ, and the
+    numerators are out of order (-2/3 < -5/12) and collide (1/12, 1/3).  The
+    labels copy takes v to the label at position 2v, leaving every other
+    label unused.
     """
     for f in functions:
         yield f
         yield SetFunction(f.ground, RATIONALS, tuple(
-            [v - 2, 3] if m % 2 == 0 else [2 * v - 4, 6] for m, v in enumerate(f.values)
+            [3 * v - 8, 12] if m % 2 == 0 else [6 * v - 16, 24] for m, v in enumerate(f.values)
         ))
         yield SetFunction(f.ground, SPARSE_LABELS, tuple(SPARSE_LABELS.label_order[2 * v] for v in f.values))
 

@@ -68,8 +68,12 @@ class TestFamilyChain:
             assert fams[-1] == tuple(range(4))
             for a, b in zip(fams, fams[1:]):
                 assert set(a) < set(b)
+
+    def test_families_match_oracle(self):
+        for f in codomain_variants(enumerate_weak_orders(2)):
             mu = sorted(set(f.values))
-            assert fams[1:] == tuple(tuple(m for m in range(4) if f.values[m] <= cut) for cut in mu)
+            expected = tuple(tuple(m for m in range(4) if f.values[m] <= cut) for cut in mu)
+            assert family_chain(f).families == ((),) + expected
 
 
 class TestCheckQh:

@@ -276,4 +276,9 @@ class TestConstrainedMinimize:
                     assert r.argmin.min_value.key == best
                     assert r.argmin.minimizers == tuple(m for m in feasible if phi.values[m] == best)
                     assert r.feasible_count == len(feasible)
-                    assert r.threshold.key == mu[k - 1]
+
+    def test_threshold_is_the_kth_value(self, f_card):
+        for f in codomain_variants(enumerate_weak_orders(2)):
+            mu = sorted(set(f.values))
+            for k in range(1, len(mu)):
+                assert constrained_minimize(f_card, f, k).threshold.key == mu[k - 1]
