@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ordsub import (
-    OrderedCodomain, SetFunction, modular_plus_concave, parse_set_function, random_function, set_function_to_json,
+    OrderedCodomain, SetFunction, argmin, modular_plus_concave, parse_set_function, random_function,
+    set_function_to_json,
 )
 from ordsub.cli import main
 
@@ -178,7 +179,8 @@ def n10_functions():
 class TestReportsAtN10:
     # sha256 of stdout with the input path replaced by IN, and the exit code;
     # pinned before the row scan built its lanes level by level and the chain
-    # named each subset once, and unchanged by both
+    # named each subset once, and unchanged by both.  certify runs at the first
+    # global minimizer and at E, and descent starts from E.
     PINNED = {
         ("modular10", "hierarchy"): (0, "543f97da9349d5e50537a345c2cbd0dcd81eae7edf89fdbe5f02d1f2f751c6d9"),
         ("modular10", "classify"): (0, "e60fdf3fd55725104edcc64c51135729830c38a8406768530d60f5ad85c9bbc6"),
@@ -186,6 +188,15 @@ class TestReportsAtN10:
         ("lowered10", "classify"): (0, "01cffc708b6899dc564aa497806e3ea82c977318fd07c920ea42405d95b67056"),
         ("random10_rational", "hierarchy"): (1, "6e0b6766abaea2ffe3f99d55bf64d8ccfdf94a6bbbb9ea08e42e866cdaf60793"),
         ("random10_rational", "classify"): (0, "23c08152eff91642c598a164cd27f9d513f12dc30d1cce0843cc3250f15b0b59"),
+        ("modular10", "certify-min"): (0, "8f22ce9d62e959b7d882be05a4ca33b02d05b913f303d63471ce7bac2a86c195"),
+        ("modular10", "certify-E"): (1, "2cf117518a18dcc10be2f23d43ac4b2de6cb9ecf1d929c1a6a183466b8dce60b"),
+        ("modular10", "descent-E"): (0, "1879c98be2b854bf3aeb3a34a294fe9da153d63c935ea18436fab61ab70a58cd"),
+        ("lowered10", "certify-min"): (1, "4293057ccf97910ba7fc039831a2e4e2023596a3916b70e1983554ed3dc61de5"),
+        ("lowered10", "certify-E"): (1, "2cf117518a18dcc10be2f23d43ac4b2de6cb9ecf1d929c1a6a183466b8dce60b"),
+        ("lowered10", "descent-E"): (0, "818a86f794bc03f88d7f796f7b72bafa8f72b1e856a63b404249c42f79dcbecb"),
+        ("random10_rational", "certify-min"): (1, "9ed2ab29c40fdf216f549521ea7e42c6971b42be08aaa304a76288514af13e9d"),
+        ("random10_rational", "certify-E"): (1, "bb6ddda4fcd4627c82a3f29f513da2632a0bc3839ac375befa35cc049c27c4a7"),
+        ("random10_rational", "descent-E"): (0, "dd762377a01808659c324d5d5d59277a7e7947b207cecb1feb1bd64b6e17f867"),
     }
 
     def test_json_reports_are_pinned(self, tmp_path):
@@ -193,9 +204,18 @@ class TestReportsAtN10:
         for name, f in n10_functions().items():
             p = tmp_path / f"{name}.json"
             p.write_text(json.dumps(set_function_to_json(f)))
-            for argv in (("hierarchy", str(p), "--json"), ("classify", str(p), "--json", "--witness")):
+            first_min = f.ground.subset_str(argmin(f).minimizers[0])
+            full = f.ground.subset_str(f.ground.full_mask)
+            runs = {
+                "hierarchy": ("hierarchy", str(p), "--json"),
+                "classify": ("classify", str(p), "--json", "--witness"),
+                "certify-min": ("certify", str(p), "--json", "--point", first_min),
+                "certify-E": ("certify", str(p), "--json", "--point", full),
+                "descent-E": ("minimize", str(p), "--json", "--mode", "descent", "--start", full),
+            }
+            for key, argv in runs.items():
                 code, out, _ = run_cli(*argv)
-                got[name, argv[0]] = (code, hashlib.sha256(out.replace(str(p), "IN").encode()).hexdigest())
+                got[name, key] = (code, hashlib.sha256(out.replace(str(p), "IN").encode()).hexdigest())
         assert got == self.PINNED
 
 

@@ -217,6 +217,50 @@ class TestCertify:
         assert not cert.is_global and cert.hypothesis is None
 
 
+def brute_hypothesis(f):
+    """The first of Q1, Q2 and Q4 with injectivity that f satisfies, over all pairs; None if none.
+
+    Each condition is written as its implication or inequality on the raw keys.
+    """
+    v = f.values
+    quads = [(v[x], v[y], v[x | y], v[x & y]) for x in range(f.size) for y in range(f.size)]
+    if all(not a <= i or u <= b for a, b, u, i in quads):
+        return "Q1"
+    if all(not a < i or u < b for a, b, u, i in quads):
+        return "Q2"
+    if len(set(v)) == f.size and all(max(a, b) >= min(u, i) for a, b, u, i in quads):
+        return "Q4+injective"
+    return None
+
+
+def certify_oracle_functions():
+    yield from codomain_variants(enumerate_weak_orders(2))
+    for n in (4, 5, 6):
+        for seed in range(3):
+            yield from codomain_variants([random_function(n, distinct_values=n, seed=seed)])
+    yield from codomain_variants([modular_plus_concave(4, [1, 2, 3, 4], [0, 3, 5, 6, 6])])
+
+
+class TestCertifyOracle:
+    def test_every_point_matches_brute_force(self):
+        for f in certify_oracle_functions():
+            hypothesis = brute_hypothesis(f)
+            for x in range(f.size):
+                lower, upper = interval_masks(f, x)
+                local = f.values[x] <= brute_min_over(f, lower + upper)
+                cert = certify_global_min(f, x)
+                if not local:
+                    want = (None, False, "not minimal over its lower/upper intervals")
+                elif hypothesis is None:
+                    want = (None, False,
+                            "interval-locally minimal, but no structural hypothesis holds (Q1, Q2, Q4+injective)")
+                else:
+                    want = (hypothesis, True, f"interval-local minimum is global under {hypothesis}")
+                assert (cert.hypothesis, cert.is_global, cert.reason) == want, (f, x)
+                assert cert.verified
+                assert (cert.lower_checked, cert.upper_checked) == (len(lower), len(upper))
+
+
 class TestArgminLatticeClosure:
     def test_examples(self, f_cut, f_const):
         assert argmin_lattice_closure(f_cut)
