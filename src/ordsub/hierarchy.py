@@ -55,6 +55,8 @@ def _family(ranks: tuple[int, ...], i: int) -> tuple[int, ...]:
 
 def level_family(f: SetFunction, i: int) -> tuple[int, ...]:
     """Masks with f(X) <= mu_i, ascending; i = 0 gives the empty family."""
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise TypeError(f"level index must be an int, got {type(i).__name__}")
     p = max(f.ranks) + 1
     if not 0 <= i <= p:
         raise ValueError(f"level index must be in [0, {p}], got {i}")

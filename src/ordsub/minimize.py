@@ -269,6 +269,8 @@ def constrained_minimize(phi: SetFunction, f: SetFunction, k: int) -> Constraine
         raise ValueError("objective and constraint functions must share a ground set")
     if not phi.codomain.is_numeric:
         raise ValueError("objective must have a numeric codomain")
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise TypeError(f"k must be an int, got {type(k).__name__}")
     ranks = f.ranks
     p = max(ranks) + 1
     if not 1 <= k <= p - 1:

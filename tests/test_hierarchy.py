@@ -45,6 +45,11 @@ class TestLevelFamily:
         with pytest.raises(ValueError):
             level_family(f_cut, -1)
 
+    @pytest.mark.parametrize("i", [True, False, 1.0])
+    def test_index_must_be_an_int(self, f_cut, i):
+        with pytest.raises(TypeError, match="level index must be an int"):
+            level_family(f_cut, i)
+
     def test_membership_definition(self):
         functions = [random_function(2, distinct_values=3, seed=seed) for seed in range(10)]
         for f in codomain_variants(functions):

@@ -297,6 +297,11 @@ class TestConstrainedMinimize:
         with pytest.raises(ValueError, match="k must be in"):
             constrained_minimize(f_card, f_const, 1)  # constant constraint: p = 1, no valid k
 
+    @pytest.mark.parametrize("k", [True, 1.0])
+    def test_k_must_be_an_int(self, f_card, k):
+        with pytest.raises(TypeError, match="k must be an int"):
+            constrained_minimize(f_card, f_card, k)
+
     def test_ground_mismatch(self, f_card):
         other = SetFunction.from_ints(("x", "y"), [0, 1, 1, 2])
         with pytest.raises(ValueError, match="share a ground set"):
