@@ -134,22 +134,15 @@ def load_set_function(path: str | Path) -> SetFunction:
 
 
 def chain_to_json(ground: GroundSet, chain: LevelChain) -> dict:
-    """The families as lists of sparse subset keys, each distinct subset named once.
+    """The families as lists of sparse subset keys, looked up in one table of all 2**n names.
 
-    Every entry is checked, in order, before its name is looked up: True
-    would otherwise find the name of mask 1.
+    The table names every subset, as a chain ending with the full power set
+    (every ``family_chain`` does) must anyway.  Every entry is checked, in
+    order, before it indexes the table: True would otherwise find the name
+    of mask 1, and -1 that of the full set.
     """
-    names: dict[int, str] = {}
-
-    def name(mask: int) -> str:
-        ground.check_mask(mask)
-        try:
-            return names[mask]
-        except KeyError:
-            out = names[mask] = ground.subset_str(mask)
-            return out
-
+    names = [ground.subset_str(m) for m in range(ground.size)]
     return {
         "ground_set": list(ground.elements),
-        "families": [[name(m) for m in fam] for fam in chain.families],
+        "families": [[names[ground.check_mask(m)] for m in fam] for fam in chain.families],
     }
