@@ -378,13 +378,22 @@ def holds_at_pair(f: SetFunction, cond: ConditionId, x: int, y: int) -> bool:
 def _first_witnesses(f: SetFunction, conds: Sequence[ConditionId]) -> dict[ConditionId, ConditionWitness]:
     """The first witness of each failing condition in conds, in the order of conds.
 
-    The ordinal conditions share one row scan over the ranks.
+    The ordinal conditions share one row scan over the ranks, and Ordinary
+    scans the exact integers of a numeric codomain.  Injective's X is the
+    first mask whose rank comes again, and its Y the next mask of that rank.
     """
-    ordinal = [c for c in conds if c is not ConditionId.ORDINARY]
+    ordinal = [c for c in conds if c not in (ConditionId.ORDINARY, ConditionId.INJECTIVE)]
     scans = [(f.ranks, ordinal)] if ordinal else []
     if ConditionId.ORDINARY in conds:
+        _require_numeric(f, ConditionId.ORDINARY)
         scans.append((_exact_ints(f.values), [ConditionId.ORDINARY]))
     hits = {cond: (x, y) for vals, group in scans for x, cond, y in _row_scan(f.n, vals, group, True)}
+    if ConditionId.INJECTIVE in conds:
+        ranks = f.ranks
+        last = {r: m for m, r in enumerate(ranks)}
+        x = next((m for m, r in enumerate(ranks) if last[r] != m), None)
+        if x is not None:
+            hits[ConditionId.INJECTIVE] = x, ranks.index(ranks[x], x + 1)
     return {cond: _witness_at(f, cond, *hits[cond]) for cond in conds if cond in hits}
 
 
@@ -417,7 +426,6 @@ def check_ordinary_submodular(f: SetFunction) -> ConditionWitness | None:
 
     Only defined for numeric codomains; labels have no additive structure.
     """
-    _require_numeric(f, ConditionId.ORDINARY)
     return _first_witnesses(f, (ConditionId.ORDINARY,)).get(ConditionId.ORDINARY)
 
 
@@ -426,16 +434,8 @@ def is_ordinary_submodular(f: SetFunction) -> bool:
 
 
 def injective_witness(f: SetFunction) -> ConditionWitness | None:
-    """First pair of distinct subsets sharing a value, in lexicographic order.
-
-    X is the first subset whose rank comes again, and Y where it next does.
-    """
-    ranks = f.ranks
-    last = {r: m for m, r in enumerate(ranks)}
-    x = next((m for m, r in enumerate(ranks) if last[r] != m), None)
-    if x is None:
-        return None
-    return _witness_at(f, ConditionId.INJECTIVE, x, ranks.index(ranks[x], x + 1))
+    """First pair of distinct subsets sharing a value, in lexicographic order."""
+    return _first_witnesses(f, (ConditionId.INJECTIVE,)).get(ConditionId.INJECTIVE)
 
 
 def is_injective(f: SetFunction) -> bool:
@@ -502,15 +502,7 @@ class ClassReport:
 
 
 def classify(f: SetFunction) -> ClassReport:
-    """Evaluate every condition on f and collect first witnesses for failures."""
-    conds = PAIRWISE_CONDITIONS + (ConditionId.QUASI,)
-    if f.codomain.is_numeric:
-        conds += (ConditionId.ORDINARY,)
+    """Evaluate every condition on f, Ordinary only on a numeric codomain, with first witnesses for failures."""
+    conds = [c for c in ConditionId if c is not ConditionId.ORDINARY or f.codomain.is_numeric]
     witnesses = _first_witnesses(f, conds)
-    flags: dict[ConditionId, bool | None] = {c: c not in witnesses for c in conds}
-    flags.setdefault(ConditionId.ORDINARY, None)
-    w = injective_witness(f)
-    flags[ConditionId.INJECTIVE] = w is None
-    if w is not None:
-        witnesses[ConditionId.INJECTIVE] = w
-    return ClassReport(flags, witnesses)
+    return ClassReport({c: c not in witnesses if c in conds else None for c in ConditionId}, witnesses)

@@ -11,6 +11,10 @@ of E:
   * If f satisfies Q4 and is injective, a point minimal over
     [∅, X] ∪ [X, E] is the unique global minimizer.
 
+``HYPOTHESES`` is the one table of these three hypotheses and their
+conditions, in the order ``certify_global_min`` tries them; the tags and the
+certificate's reason text come from it.
+
 "Minimal over an interval" is non-strict: f(X) <= f(Z) for every Z in the
 interval; ties do not disqualify.  All search is brute force over the dense
 table, which is the point at desk scale: these routines double as the oracle
@@ -21,10 +25,18 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .conditions import ConditionId, check_condition, is_injective
+from .conditions import ConditionId, _first_witnesses, check_condition
 from .core import IntervalSublattice, OrdinalValue, SetFunction, record
 
-HYPOTHESIS_TAGS = ("Q1", "Q2", "Q4+injective")
+# The hypotheses under which an interval-local minimum is global, in the order
+# certify tries them, each with its conditions in the order they are checked:
+# injectivity first, so that a function that is not injective skips the Q4 scan.
+HYPOTHESES = {
+    "Q1": (ConditionId.Q1,),
+    "Q2": (ConditionId.Q2,),
+    "Q4+injective": (ConditionId.INJECTIVE, ConditionId.Q4),
+}
+HYPOTHESIS_TAGS = tuple(HYPOTHESES)
 
 
 class HypothesisError(ValueError):
@@ -185,41 +197,30 @@ def certify_global_min(
 ) -> MinimalityCertificate:
     """Check interval-local minimality at X and the strongest applicable hypothesis.
 
-    Hypotheses are tried in order Q1, Q2, Q4+injective; the certificate is
-    global only when X is interval-locally minimal and one of them holds.
+    Hypotheses are tried in the order of ``HYPOTHESES`` (Q1, Q2, Q4+injective);
+    the certificate is global only when X is interval-locally minimal and one
+    of them holds.
     Passing ``assume`` (one of those tags) skips verification: the hypothesis
     is recorded as asserted and the certificate marked unverified.
     """
     f.ground.check_mask(x)
     if assume is not None and assume not in HYPOTHESIS_TAGS:
         raise ValueError(f"unknown hypothesis {assume!r}; expected one of {HYPOTHESIS_TAGS}")
-    lower = 1 << bin(x).count("1")
-    upper = 1 << (f.n - bin(x).count("1"))
-    if not is_interval_local_min(f, x):
-        return MinimalityCertificate(
-            x, lower, upper, None, False, assume is None,
-            "not minimal over its lower/upper intervals",
-        )
-    if assume is not None:
-        return MinimalityCertificate(
-            x, lower, upper, assume, True, False, "hypothesis asserted, unverified"
-        )
     hypothesis = None
-    if check_condition(f, ConditionId.Q1) is None:
-        hypothesis = "Q1"
-    elif check_condition(f, ConditionId.Q2) is None:
-        hypothesis = "Q2"
-    elif check_condition(f, ConditionId.Q4) is None and is_injective(f):
-        hypothesis = "Q4+injective"
-    if hypothesis is None:
-        return MinimalityCertificate(
-            x, lower, upper, None, False, True,
-            "interval-locally minimal, but no structural hypothesis holds (Q1, Q2, Q4+injective)",
+    if not is_interval_local_min(f, x):
+        reason = "not minimal over its lower/upper intervals"
+    elif assume is not None:
+        hypothesis, reason = assume, "hypothesis asserted, unverified"
+    else:
+        hypothesis = next(
+            (tag for tag, conds in HYPOTHESES.items() if all(not _first_witnesses(f, (c,)) for c in conds)), None
         )
-    return MinimalityCertificate(
-        x, lower, upper, hypothesis, True, True,
-        f"interval-local minimum is global under {hypothesis}",
-    )
+        reason = (
+            f"interval-local minimum is global under {hypothesis}" if hypothesis else
+            f"interval-locally minimal, but no structural hypothesis holds ({', '.join(HYPOTHESES)})"
+        )
+    k = bin(x).count("1")
+    return MinimalityCertificate(x, 1 << k, 1 << (f.n - k), hypothesis, hypothesis is not None, assume is None, reason)
 
 
 def interval_descent(f: SetFunction, start: int) -> DescentTrace:
