@@ -28,6 +28,14 @@ exact nonnegative integers instead (rationals scaled by the LCM of their
 denominators, less their minimum).  The witness is the lexicographically
 first violating (X, Y) by mask, so witnesses are deterministic.
 
+``_first_witnesses`` is the one function that finds the first witness of a
+condition, for every ``ConditionId``: the ordinal conditions in one shared row
+scan over the ranks, Ordinary (numeric codomains only) in a row scan over the
+exact integers, and Injective with no scan, as the first mask whose rank comes
+again and the next mask of that rank.  ``classify``, ``check_condition``,
+``check_ordinary_submodular``, ``injective_witness`` and
+``minimize.certify_global_min`` all ask it.
+
 For the exhaustive suites and witness search, at n <= ENUMERATION_CAP, the
 lanes run across functions instead (``lane_chunks``): a chunk of enumerated
 rank vectors becomes one int per subset with an 8-bit lane per function, and
