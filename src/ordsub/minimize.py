@@ -28,9 +28,8 @@ from typing import Sequence
 from .conditions import ConditionId, _first_witnesses, check_condition
 from .core import IntervalSublattice, OrdinalValue, SetFunction, record
 
-# The hypotheses under which an interval-local minimum is global, in the order
-# certify tries them, each with its conditions in the order they are checked:
-# injectivity first, so that a function that is not injective skips the Q4 scan.
+# Each entry's conditions are checked in order: Injective before Q4, so that a
+# function that is not injective skips the Q4 scan.
 HYPOTHESES = {
     "Q1": (ConditionId.Q1,),
     "Q2": (ConditionId.Q2,),
@@ -197,9 +196,8 @@ def certify_global_min(
 ) -> MinimalityCertificate:
     """Check interval-local minimality at X and the strongest applicable hypothesis.
 
-    Hypotheses are tried in the order of ``HYPOTHESES`` (Q1, Q2, Q4+injective);
-    the certificate is global only when X is interval-locally minimal and one
-    of them holds.
+    Hypotheses are tried in the order of ``HYPOTHESES``; the certificate is
+    global only when X is interval-locally minimal and one of them holds.
     Passing ``assume`` (one of those tags) skips verification: the hypothesis
     is recorded as asserted and the certificate marked unverified.
     """
