@@ -64,9 +64,18 @@ def level_family(f: SetFunction, i: int) -> tuple[int, ...]:
 
 
 def family_chain(f: SetFunction) -> LevelChain:
-    """The full chain F_0 ⊂ F_1 ⊂ ... ⊂ F_p; strict nesting holds because every rank is attained."""
-    ranks = f.ranks
-    return LevelChain(tuple(_family(ranks, i) for i in range(max(ranks) + 2)))
+    """The full chain F_0 ⊂ F_1 ⊂ ... ⊂ F_p; strict nesting holds because every rank is attained.
+
+    The masks are bucketed by rank, and F_i is F_{i-1} merged with bucket
+    i - 1, both ascending, so no rank is compared p times.
+    """
+    buckets: list[list[int]] = [[] for _ in range(max(f.ranks) + 1)]
+    for m, r in enumerate(f.ranks):
+        buckets[r].append(m)
+    families = [()]
+    for bucket in buckets:
+        families.append(tuple(sorted(families[-1] + tuple(bucket))))
+    return LevelChain(tuple(families))
 
 
 def check_qh(f: SetFunction) -> ConditionWitness | None:
