@@ -24,9 +24,10 @@ and time O(4**n).  The ordinal conditions scan ``f.ranks``, the dense
 ranks that ``core`` computes once per function, so that the level family
 F_i is {X : ranks[X] < i}.  Ranks are exact for every ordinal condition,
 which depends on order alone.  Ordinary submodularity scans the values as
-exact nonnegative integers instead (rationals scaled by the LCM of their
-denominators, less their minimum).  The witness is the lexicographically
-first violating (X, Y) by mask, so witnesses are deterministic.
+exact nonnegative integers instead, ``f.exact_ints``, also computed once per
+function (rationals scaled by the LCM of their denominators, less their
+minimum).  The witness is the lexicographically first violating (X, Y) by
+mask, so witnesses are deterministic.
 
 ``_first_witnesses`` is the one function that finds the first witness of a
 condition, for every ``ConditionId``: the ordinal conditions in one shared row
@@ -37,20 +38,23 @@ again and the next mask of that rank.  ``classify``, ``check_condition``,
 ``minimize.certify_global_min`` all ask it.
 
 For the exhaustive suites and witness search, at n <= ENUMERATION_CAP, the
-lanes run across functions instead (``lane_chunks``): a chunk of enumerated
-rank vectors becomes one int per subset with an 8-bit lane per function, and
-each predicate call answers at one pair for every function of the chunk.
-The chunk's columns share one table of their comparisons, so a comparison
-that several predicates, pairs or the complement dual repeat is made once.
+lanes run across functions instead (``lane_chunks``): blocks of enumerated
+rank vectors come as columns, one byte string per subset, and a chunk
+becomes one int per subset, read from its column with an 8-bit lane per
+function, so each predicate call answers at one pair for every function of
+the chunk.  The chunk's columns share one table of their comparisons, so a
+comparison that several predicates, pairs or the complement dual repeat is
+made once.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import OrdinalValue, SetFunction, _exact_ints, record
+from .core import OrdinalValue, SetFunction, record
 
 Pair = tuple[int, int, int, int]  # (X, Y, X|Y, X&Y)
 
@@ -119,7 +123,6 @@ def incomparable_pair_table(n: int) -> tuple[Pair, ...]:
 # lane takes, so that a sum of two stays below the guard bit 7
 CHUNK = 4096
 LANE_MAX = 63
-_LANE_VALUES = bytes(range(LANE_MAX + 1))
 
 
 class Lanes:
@@ -130,8 +133,9 @@ class Lanes:
     guard bit on top).  ``a <= b`` is computed as ((b | guard) - a) & guard:
     a lane of b - a borrows from its guard bit exactly when a > b.  The
     other comparisons derive from it.  The columns of a chunk carry the
-    ``table`` they share, keyed by the pair of their ``index``, and make
-    each comparison once; other Lanes carry none.
+    ``table`` they share, keyed by their ``index`` pair (its first one
+    inverted for a strict comparison), and make each comparison once;
+    other Lanes carry none.
     """
 
     __slots__ = ("bits", "guard", "table", "index")
@@ -158,10 +162,26 @@ class Lanes:
         return other <= self
 
     def __lt__(self, other: Lanes) -> int:
-        return self.guard ^ (other <= self)
+        table = self.table
+        if table is None or other.table is not table:
+            return self.guard ^ (other <= self)
+        key = ~other.index, self.index
+        try:
+            return table[key]
+        except KeyError:
+            out = table[key] = self.guard ^ (other <= self)
+            return out
 
     def __gt__(self, other: Lanes) -> int:
-        return self.guard ^ (self <= other)
+        table = self.table
+        if table is None or other.table is not table:
+            return self.guard ^ (self <= other)
+        key = ~self.index, other.index
+        try:
+            return table[key]
+        except KeyError:
+            out = table[key] = self.guard ^ (self <= other)
+            return out
 
     def __eq__(self, other: Lanes) -> int:  # type: ignore[override]
         return (self <= other) & (other <= self)
@@ -174,13 +194,12 @@ class Lanes:
 class LaneChunk:
     """Rank vectors on the subsets of n elements, bit-sliced.
 
-    ``flat`` holds the vectors back to back, 2**n bytes each, and ``cols``
-    one Lanes per subset, lane k holding function k.  ``full`` is the set
-    of all the chunk's functions: the guard bit of every lane.  Bitsets of
-    functions are subsets of it, in enumeration order from the lowest bit up.
+    ``cols`` holds one Lanes per subset, lane k holding function k.  ``full``
+    is the set of all the chunk's functions: the guard bit of every lane.
+    Bitsets of functions are subsets of it, in enumeration order from the
+    lowest bit up.
     """
 
-    flat: bytes
     cols: Sequence[Lanes]
     n: int
     full: int
@@ -191,12 +210,12 @@ class LaneChunk:
 
     @property
     def count(self) -> int:
-        return len(self.flat) >> self.n
+        return self.full.bit_length() >> 3
 
     def vector(self, bits: int) -> tuple[int, ...]:
-        """The first function of a nonempty bitset."""
-        start = ((bits & -bits).bit_length() - 8) >> 3 << self.n
-        return tuple(self.flat[start:start + (1 << self.n)])
+        """The first function of a nonempty bitset, read from its lanes."""
+        shift = (bits & -bits).bit_length() - 8
+        return tuple(col.bits >> shift & 0xFF for col in self.cols)
 
     def hits(self, cond: ConditionId, pairs: Iterable[Pair] | None = None) -> list[int]:
         """Per pair (incomparable ones by default, in order): the functions violating cond there."""
@@ -215,51 +234,77 @@ class LaneChunk:
         return self.full ^ bad
 
     def dual(self) -> LaneChunk:
-        """The same functions' complement duals, X -> f(E - X); ``vector`` still gives f.
+        """The same functions' complement duals, X -> f(E - X).
 
         The columns are the chunk's own, so the dual shares their table.
         """
         full = len(self.cols) - 1
-        return LaneChunk(self.flat, [self.cols[full ^ m] for m in range(full + 1)], self.n, self.full)
+        return LaneChunk([self.cols[full ^ m] for m in range(full + 1)], self.n, self.full)
 
 
-def _slice(flat: bytes, n: int) -> LaneChunk:
-    """The chunk of the vectors in flat, 2**n bytes each: lane k of column s is byte s of vector k."""
-    size = 1 << n
-    full = int.from_bytes(b"\x80" * (len(flat) >> n), "little")
+def _block_error(size: int) -> ValueError:
+    return ValueError(f"bit-sliced blocks need {size} byte columns of equal length, with values in 0..{LANE_MAX}")
+
+
+def _slice(cols: Sequence[bytes], n: int) -> LaneChunk:
+    """The chunk of the vectors in cols, one column per subset: lane k of Lanes s is byte k of column s."""
+    full = int.from_bytes(b"\x80" * len(cols[0]), "little")
+    high = full | full >> 1  # bits 6 and 7 of every lane, clear in a value up to LANE_MAX
     table: dict = {}
-    cols = [Lanes(int.from_bytes(flat[s::size], "little"), full, table, s) for s in range(size)]
-    return LaneChunk(flat, cols, n, full)
+    lanes = []
+    for s, col in enumerate(cols):
+        bits = int.from_bytes(col, "little")
+        if bits & high:
+            raise _block_error(len(cols))
+        lanes.append(Lanes(bits, full, table, s))
+    return LaneChunk(lanes, n, full)
 
 
-def lane_chunks(vectors: Iterable[Sequence[int] | bytes], n: int) -> Iterator[LaneChunk]:
-    """Bit-slice rank vectors on the 2**n subsets, in order, a chunk at a time.
+def vector_columns(vectors: Iterable[Sequence[int]], m: int) -> Iterator[tuple[bytes, ...]]:
+    """Vectors of m ints as blocks of columns for ``lane_chunks``, 256 vectors a block.
 
-    Each item is one vector, a sequence of ints, or bytes holding whole
-    vectors back to back, as ``generators.weak_order_blocks`` gives them.
-    The first chunk holds 64 functions and each next one twice as many, up
-    to CHUNK, so a scan that stops early pays for little.  Raises ValueError
+    A block that small keeps few vectors alive at once.  Raises ValueError
     for a vector of another length or a value outside 0..LANE_MAX.
     """
-    size = 1 << n
-    width = 64 << n
-    buf = bytearray()
-    for item in vectors:
-        block = isinstance(item, (bytes, bytearray))
+    it = iter(vectors)
+    while batch := list(islice(it, 256)):
         try:
-            data = item if block else bytes(item)
+            cols = tuple(map(bytes, zip(*batch, strict=True)))
         except (TypeError, ValueError):
-            data = None
-        # deleting every value in 0..LANE_MAX leaves nothing
-        if data is None or (len(data) % size if block else len(data) != size) or data.translate(None, _LANE_VALUES):
-            raise ValueError(f"bit-sliced vectors need {size} integers in 0..{LANE_MAX} each")
-        buf += data
-        while len(buf) >= width:
-            yield _slice(bytes(buf[:width]), n)
-            del buf[:width]
-            width = min(2 * width, CHUNK << n)
-    if buf:
-        yield _slice(bytes(buf), n)
+            cols = ()
+        if len(cols) != m:
+            raise ValueError(f"bit-sliced vectors need {m} integers in 0..{LANE_MAX} each")
+        yield cols
+
+
+def lane_chunks(blocks: Iterable[Sequence[bytes]], n: int) -> Iterator[LaneChunk]:
+    """Bit-slice blocks of rank vectors on the 2**n subsets, in order, a chunk at a time.
+
+    Each block holds 2**n columns of equal length, column s holding byte s
+    of each of its vectors, as ``generators.weak_order_columns`` and
+    ``vector_columns`` give them.  The first chunk holds 64 functions and
+    each next one twice as many, up to CHUNK, so a scan that stops early
+    pays for little.  Raises ValueError for a block of another shape or a
+    value outside 0..LANE_MAX.
+    """
+    size = 1 << n
+    width = 64
+    bufs = [bytearray() for _ in range(size)]
+    for block in blocks:
+        try:  # a column that is not bytes has no len, or cannot be appended
+            if len(block) != size or len(set(map(len, block))) != 1:
+                raise ValueError
+            for buf, col in zip(bufs, block):
+                buf += col
+        except (TypeError, ValueError):
+            raise _block_error(size) from None
+        while len(bufs[0]) >= width:
+            yield _slice([buf[:width] for buf in bufs], n)
+            for buf in bufs:
+                del buf[:width]
+            width = min(2 * width, CHUNK)
+    if bufs[0]:
+        yield _slice(bufs, n)
 
 
 def _row_scan(
@@ -394,7 +439,7 @@ def _first_witnesses(f: SetFunction, conds: Sequence[ConditionId]) -> dict[Condi
     scans = [(f.ranks, ordinal)] if ordinal else []
     if ConditionId.ORDINARY in conds:
         _require_numeric(f, ConditionId.ORDINARY)
-        scans.append((_exact_ints(f.values), [ConditionId.ORDINARY]))
+        scans.append((f.exact_ints, [ConditionId.ORDINARY]))
     hits = {cond: (x, y) for vals, group in scans for x, cond, y in _row_scan(f.n, vals, group, True)}
     if ConditionId.INJECTIVE in conds:
         ranks = f.ranks
@@ -424,7 +469,7 @@ def iter_witnesses(f: SetFunction, cond: ConditionId) -> Iterator[ConditionWitne
     if cond is ConditionId.INJECTIVE:
         raise ValueError("injectivity also concerns comparable pairs; see injective_witness")
     _require_numeric(f, cond)
-    vals = _exact_ints(f.values) if cond is ConditionId.ORDINARY else f.ranks
+    vals = f.exact_ints if cond is ConditionId.ORDINARY else f.ranks
     for x, _, y in _row_scan(f.n, vals, (cond,), False):
         yield _witness_at(f, cond, x, y)
 

@@ -486,14 +486,24 @@ class SetFunction:
         return SetFunction(sub_ground, self.codomain, tuple(self.values[m] for m in box.members()))
 
     @cached_property
+    def exact_ints(self) -> list[int]:
+        """``_exact_ints`` of the values, for a numeric codomain: what ordinary
+        submodularity scans, and what ``ranks`` ranks for rationals.
+
+        Computed on first read and kept in the instance dict, outside the
+        record's fields, as ``ranks`` is.
+        """
+        return _exact_ints(self.values)
+
+    @cached_property
     def ranks(self) -> tuple[int, ...]:
         """Each subset's level index: its value's place among the p distinct values, 0..p-1.
 
         They keep every < and == of the values.  Rationals are ranked by their
-        ``_exact_ints``, which hash far faster than Fractions.  Computed on
+        ``exact_ints``, which hash far faster than Fractions.  Computed on
         first read and kept in the instance dict, outside the record's fields.
         """
-        keys = _exact_ints(self.values) if self.codomain.kind == "rational" else self.values
+        keys = self.exact_ints if self.codomain.kind == "rational" else self.values
         rank = {v: r for r, v in enumerate(sorted(set(keys)))}
         return tuple(map(rank.__getitem__, keys))
 

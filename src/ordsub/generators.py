@@ -7,13 +7,14 @@ ordinal behaviour at small n; injective rank vectors (permutations) cover the
 linear-order case.  The counts are the ordered set partition numbers
 (3, 75, 545835 for m = 2, 4, 8) and m! respectively.
 
-The surjective vectors come as flat byte blocks (``weak_order_blocks``),
-ready for ``conditions.lane_chunks``: one block per head, the first m - 4
-values, holding the head completed by each of its tails of four, one vector
-after another.  The tails that complete a head depend only on its largest
-rank and the ranks it skips below that, so a memoized table (``_tails``)
-builds each set of tails once, as columns, and a block is filled by one
-strided slice assignment per position: no object is made per vector.
+The surjective vectors come as blocks of columns (``weak_order_columns``),
+ready for ``conditions.lane_chunks``: one block per head, the first m - 5
+values, holding the head completed by each of its tails of five, column j
+holding the j-th value of every vector of the block.  The tails that
+complete a head depend only on its largest rank and the ranks it skips
+below that, so a memoized table (``_tails``) builds each set of tails once,
+as columns, and a block is the head's columns, one repeated byte each,
+followed by those: no object is made per vector.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from .conditions import ENUMERATION_CAP, ConditionId, lane_chunks
 from .core import INTEGERS, RATIONALS, GroundSet, OrderedCodomain, RawKey, SetFunction, _clip, default_elements, record
 
 
-# The length of the memoized tails.  Held as columns rather than as one
-# bytes object per tail, tails of four take about 0.4 MB at m = 8, and the
-# 3,155 blocks there hold about 170 vectors each.
-_TAIL = 4
+# The length of the memoized tails.  At m = 8 the tails of five take about
+# 0.6 MB of columns, and the 468 blocks there hold about 1,170 vectors each.
+_TAIL = 5
 
 
 @lru_cache(maxsize=None)
@@ -55,32 +55,23 @@ def _tails(r: int, top: int, missing: int) -> tuple[int, tuple[bytes, ...]]:
     return count, (b"".join(first), *map(b"".join, zip(*rest)))
 
 
-def weak_order_blocks(m: int) -> Iterator[bytes]:
+def weak_order_columns(m: int) -> Iterator[tuple[bytes, ...]]:
     """All vectors in {1..k}**m surjective onto {1..k}, any k, lexicographic,
-    as blocks of whole vectors of m bytes each.  m >= 1."""
+    as blocks of m columns, column j holding the j-th value of each of the
+    block's vectors.  m >= 1."""
     r = min(m, _TAIL)
     for head in itertools.product(range(1, m + 1), repeat=m - r):
         top = max(head, default=0)
         count, cols = _tails(r, top, sum(1 << v for v in range(1, top + 1) if v not in head))
         if count:
-            block = bytearray(m * count)
-            for j, v in enumerate(head):
-                block[j::m] = bytes((v,)) * count
-            for j, col in enumerate(cols, m - r):
-                block[j::m] = col
-            yield bytes(block)
-
-
-def weak_order_bytes(m: int) -> Iterator[bytes]:
-    """weak_order_blocks(m) cut into one bytes object per vector."""
-    if m == 0:
-        return iter((b"",))
-    return (block[k:k + m] for block in weak_order_blocks(m) for k in range(0, len(block), m))
+            yield (*(bytes((v,)) * count for v in head), *cols)
 
 
 def surjective_rank_vectors(m: int) -> Iterator[tuple[int, ...]]:
-    """weak_order_bytes(m) as tuples."""
-    return map(tuple, weak_order_bytes(m))
+    """The vectors of weak_order_columns(m), one tuple each."""
+    if m == 0:
+        return iter(((),))
+    return itertools.chain.from_iterable(zip(*block) for block in weak_order_columns(m))
 
 
 def injective_rank_vectors(m: int) -> Iterator[tuple[int, ...]]:
@@ -97,7 +88,7 @@ def _check_cap(n: int) -> int:
 def enumerate_weak_orders(n: int) -> Iterator[SetFunction]:
     """Every set function on n elements up to order-isomorphism, as integer ranks."""
     _check_cap(n)
-    for vec in weak_order_bytes(1 << n):
+    for vec in surjective_rank_vectors(1 << n):
         yield SetFunction.from_ints(n, vec)
 
 
@@ -352,7 +343,7 @@ def search_witness(n: int, predicate: ClassPredicate | str) -> SetFunction | Non
     _check_cap(n)
     if isinstance(predicate, str):
         predicate = parse_predicate(predicate)
-    for c in lane_chunks(weak_order_blocks(1 << n), n):
+    for c in lane_chunks(weak_order_columns(1 << n), n):
         flags = {cond: c.holds(cond) for cond in predicate.conditions()}
         match = predicate.evaluate(flags.__getitem__, c.full)
         if match:

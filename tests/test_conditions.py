@@ -42,9 +42,10 @@ from ordsub import (
     set_function_to_json,
 )
 from ordsub.conditions import (
-    LANE_MAX, VIOLATES, ClassReport, _exact_ints, incomparable_pair_table, injective_witness, lane_chunks,
+    LANE_MAX, VIOLATES, ClassReport, incomparable_pair_table, injective_witness, lane_chunks, vector_columns,
 )
-from ordsub.generators import surjective_rank_vectors, weak_order_blocks
+from ordsub.core import _exact_ints
+from ordsub.generators import surjective_rank_vectors, weak_order_columns
 
 from conftest import intfn, lane_bit
 
@@ -720,7 +721,7 @@ class TestLaneChunks:
         conds = ORDINAL_CHECKS + [ConditionId.ORDINARY]
         for n, vectors in self.samples():
             pairs = incomparable_pair_table(n)
-            for c in lane_chunks(vectors, n):
+            for c in lane_chunks(vector_columns(vectors, 1 << n), n):
                 hits = {cond: [lanes(bits, c.count) for bits in c.hits(cond)] for cond in conds}
                 holds = {cond: lanes(c.holds(cond), c.count) for cond in conds + [ConditionId.INJECTIVE]}
                 for k, vec in enumerate(chunk_vectors(c)):
@@ -737,7 +738,7 @@ class TestLaneChunks:
         # pinned from the 16-bit lanes: a new kernel must match the old one
         direct, dual = hashlib.sha256(), hashlib.sha256()
         counts = Counter()
-        for c in lane_chunks(weak_order_blocks(8), 3):
+        for c in lane_chunks(weak_order_columns(8), 3):
             for cond in ConditionId:
                 member = lanes(c.holds(cond), c.count)
                 counts[cond.value] += sum(member)
@@ -757,59 +758,88 @@ class TestLaneChunks:
         ends = (0, 1, LANE_MAX - 1, LANE_MAX)
         vectors = [tuple(rng.choice(ends) if rng.random() < 0.7 else rng.randrange(LANE_MAX + 1) for _ in range(4))
                    for _ in range(5000)]
-        for c in lane_chunks(vectors, 2):
+        for c in lane_chunks(vector_columns(vectors, 4), 2):
             for cond, violates in VIOLATES.items():
                 members = lanes(violates(*c.cols), c.count)  # (vx, vy, vu, vi) = f(∅), f(a), f(b), f(ab)
                 assert members == [bool(violates(*vec)) for vec in chunk_vectors(c)], cond
 
     def test_first_function_of_a_bitset(self):
         vectors = list(islice(surjective_rank_vectors(8), 5000))
-        chunks = list(lane_chunks(vectors, 3))
+        chunks = list(lane_chunks(vector_columns(vectors, 8), 3))
         assert [c.count for c in chunks] == [64, 128, 256, 512, 1024, 2048, 968]
         c = chunks[-1]
         assert c.vector(c.full) == vectors[4032]
         assert c.vector(c.full & -(1 << lane_bit(967))) == vectors[-1]
 
-    # the first 16 blocks of the n = 3 stream: 4,393 functions, where the cut
-    # after 448 (the third of the chunks, which grow from 64) falls one
-    # function before the end of the 2nd block
-    BLOCKS = list(islice(weak_order_blocks(8), 16))
-    VECTORS = [tuple(b[k:k + 8]) for b in BLOCKS for k in range(0, len(b), 8)]
-    ENDS = list(accumulate(len(b) // 8 for b in BLOCKS))
+    # the first 3 blocks of the n = 3 stream: 5,376 functions.  The chunks grow
+    # from 64, so the first block (1,082 functions) holds the cuts after 64,
+    # 192, 448 and 960, and its end falls inside the chunk from 960 to 1,984,
+    # as the 2nd block's end (3,245) falls inside the chunk from 1,984 to 4,032
+    BLOCKS = list(islice(weak_order_columns(8), 3))
+    VECTORS = [v for b in BLOCKS for v in zip(*b)]
+    ENDS = list(accumulate(len(b[0]) for b in BLOCKS))
 
     @staticmethod
     def sliced(chunks):
-        return [(c.flat, c.n, c.full, [lane.bits for lane in c.cols]) for c in chunks]
+        return [(c.n, c.full, [lane.bits for lane in c.cols]) for c in chunks]
 
     def test_blocks_slice_as_their_tuples(self):
-        assert 448 not in self.ENDS and self.ENDS[-1] == len(self.VECTORS) == 4393
+        assert self.ENDS == [1082, 3245, 5376] and len(self.VECTORS) == 5376
         chunks = list(lane_chunks(self.BLOCKS, 3))
-        assert [c.count for c in chunks] == [64, 128, 256, 512, 1024, 2048, 361]
-        assert self.sliced(chunks) == self.sliced(lane_chunks(self.VECTORS, 3))
-        assert b"".join(c.flat for c in chunks) == b"".join(self.BLOCKS)
+        assert [c.count for c in chunks] == [64, 128, 256, 512, 1024, 2048, 1344]
+        assert self.sliced(chunks) == self.sliced(lane_chunks(vector_columns(self.VECTORS, 8), 3))
+        assert [v for c in chunks for v in chunk_vectors(c)] == self.VECTORS
 
     def test_vector_and_dual_at_block_and_chunk_boundaries(self):
         starts = [0] + self.ENDS[:-1]
         offset = 0
-        duals = lane_chunks([tuple(v[7 ^ m] for m in range(8)) for v in self.VECTORS], 3)
+        complements = [tuple(v[7 ^ m] for m in range(8)) for v in self.VECTORS]
+        duals = lane_chunks(vector_columns(complements, 8), 3)
         for c, want in zip(lane_chunks(self.BLOCKS, 3), duals):
             d = c.dual()
             edges = {0, c.count - 1} | {k - offset + e for k in starts for e in (-1, 0) if 0 <= k - offset + e < c.count}
             for k in sorted(edges):
                 lane = 1 << lane_bit(k)
-                assert c.vector(lane) == d.vector(lane) == self.VECTORS[offset + k], k
+                assert c.vector(lane) == self.VECTORS[offset + k], k
+                assert d.vector(lane) == complements[offset + k], k
             assert want.count == c.count
             assert [lane.bits for lane in d.cols] == [lane.bits for lane in want.cols] and d.full == want.full
             offset += c.count
         assert offset == len(self.VECTORS)
 
-    @pytest.mark.parametrize("bad", [(0, 0, 0, LANE_MAX + 1), (0, 0, 0, 64), (0, 0, 0, -1), (0, 0, 0), (0, 0, 0, 0, 0),
-                                     (0, 0, 0, Fraction(1, 2)), (0,) * 8, bytes((0, 0, 0, LANE_MAX + 1)),
-                                     bytes((0, 0, 0, 127)), bytes((0, 0, 0, 128)), bytes(3), bytes(7),
-                                     bytes(4) + bytes((0, 0, 0, 255))])
+    GOOD = (b"\x00", b"\x01", b"\x02", b"\x03")
+
+    # vectors go in through vector_columns, blocks of columns as they are
+    @pytest.mark.parametrize("bad", [
+        (0, 0, 0, LANE_MAX + 1), (0, 0, 0, 256), (0, 0, 0, -1), (0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, Fraction(1, 2)),
+        (0,) * 8, (0, 0, 0, "a"),
+        GOOD[:3], GOOD + (b"\x00",),
+        (b"\x00", b"\x00", b"\x00", b"\x00\x00"), (b"\x00\x00", b"\x00", b"\x00", b"\x00"),
+        (b"\x00", b"\x00", b"\x00", (0,)), (b"\x00", b"\x00", b"\x00", "a"), (b"\x00", b"\x00", b"\x00", 0),
+        (b"\x00", b"\x00", b"\x00", bytes((LANE_MAX + 1,))), (b"\x00", b"\x00", b"\x00", bytes((127,))),
+        (b"\x00", b"\x00", b"\x00", bytes((128,))), (b"\x00", b"\x00", b"\x00", bytes((255,))),
+        (b"\x00\x00", b"\x00\x00", b"\x00\x00", bytes((0, 255))),
+    ])
     def test_rejects_values_outside_the_lanes(self, bad):
+        blocks = [self.GOOD, bad] if isinstance(bad[0], bytes) else vector_columns([(0, 1, 2, 3), bad], 4)
         with pytest.raises(ValueError, match="0..63"):
-            list(lane_chunks([(0, 1, 2, 3), bad], 2))
+            list(lane_chunks(blocks, 2))
+
+    def test_each_comparison_is_made_once_per_chunk(self):
+        c = next(lane_chunks(weak_order_columns(8), 3))
+        table, a, b = c.cols[0].table, c.cols[1], c.cols[2]
+        assert not table
+        lt = a < b  # b <= a, then its complement
+        assert lt == c.full ^ (b <= a) and len(table) == 2
+        assert (a < b) is lt and (b > a) is lt and len(table) == 2
+        gt = a > b
+        assert gt == c.full ^ (a <= b) and lt & gt == 0 and len(table) == 4
+        assert (a > b) is gt and (b < a) is gt and len(table) == 4
+        for cond in ConditionId:
+            first = c.holds(cond)
+            size = len(table)
+            assert c.holds(cond) == first and len(table) == size, cond
+        assert len(table) > 4
 
 
 def _run_python(code, limit_bytes=None):

@@ -6,14 +6,17 @@ from hypothesis import given, strategies as st
 from ordsub import (
     INTEGERS,
     RATIONALS,
+    ConditionId,
     GroundSet,
     IntervalSublattice,
     OrderedCodomain,
     SetFunction,
+    classify,
     enumerate_weak_orders,
     random_function,
 )
-from ordsub.core import submasks
+from ordsub import core
+from ordsub.core import _exact_ints, submasks
 
 from conftest import codomain_variants, intfn
 
@@ -207,6 +210,21 @@ class TestRanks:
             with pytest.raises(AttributeError):
                 del f.ranks
             assert f.ranks == (2, 1, 2, 0)
+
+    def test_exact_ints_made_once_outside_the_record(self, monkeypatch):
+        # a rational classify ranks the exact integers and scans them for
+        # ordinary submodularity: one table serves both
+        calls = []
+        monkeypatch.setattr(core, "_exact_ints", lambda values: calls.append(values) or _exact_ints(values))
+        f = SetFunction(GroundSet(("a", "b")), RATIONALS, (Fraction(1, 3), [2, 6], Fraction(-5, 2), 7))
+        before = hash(f), repr(f)
+        assert "exact_ints" not in vars(f)
+        report = classify(f)
+        assert len(calls) == 1 and f.exact_ints == [17, 17, 0, 57] and f.ranks == (1, 1, 0, 2)
+        assert (hash(f), repr(f)) == before and f == SetFunction(f.ground, f.codomain, f.values)
+        assert report.flags[ConditionId.ORDINARY] is False
+        with pytest.raises(AttributeError):
+            f.exact_ints = [0, 0, 0, 0]
 
 
 class TestComplementDual:

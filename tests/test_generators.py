@@ -29,7 +29,7 @@ from ordsub import (
     random_function,
     search_witness,
 )
-from ordsub.generators import surjective_rank_vectors, weak_order_blocks
+from ordsub.generators import surjective_rank_vectors, weak_order_columns
 
 
 def stirling2(m, k):
@@ -75,13 +75,14 @@ class TestSurjectiveRankVectors:
 
     def test_blocks_hold_whole_vectors(self):
         for m in range(1, 9):
-            assert all(block and len(block) % m == 0 for block in weak_order_blocks(m)), m
+            assert all(len(block) == m and block[0] and len(set(map(len, block))) == 1
+                       for block in weak_order_columns(m)), m
 
     def test_n3_stream_digest(self):
         # SHA-256 of the whole m = 8 stream, pinned from the per-vector enumerator the blocks replaced
         digest = hashlib.sha256()
-        for block in weak_order_blocks(8):
-            digest.update(block)
+        for vec in surjective_rank_vectors(8):
+            digest.update(bytes(vec))
         assert digest.hexdigest() == "8ec11100a18dd86957c7e8662d834d9e43d4db0e134370a688faa0fd2c998a03"
 
 

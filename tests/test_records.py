@@ -31,7 +31,7 @@ RECORDS = {
     OrdinalValue: lambda: dict(codomain=OrderedCodomain("integer"), key=3),
     IntervalSublattice: lambda: dict(lo=1, hi=3),
     SetFunction: lambda: dict(ground=GroundSet(("a", "b")), codomain=INTEGERS, values=(0, 1, 1, 2)),
-    LaneChunk: lambda: dict(flat=bytes([0, 1]), cols=(0, 1), n=1, full=0x80),
+    LaneChunk: lambda: dict(cols=(0, 1), n=1, full=0x80),
     ConditionWitness: lambda: dict(
         condition=ConditionId.Q1, x=1, y=2, v_x=_v(0), v_y=_v(1), v_union=_v(2), v_inter=_v(3),
     ),
