@@ -133,9 +133,9 @@ class Lanes:
     guard bit on top).  ``a <= b`` is computed as ((b | guard) - a) & guard:
     a lane of b - a borrows from its guard bit exactly when a > b.  The
     other comparisons derive from it.  The columns of a chunk carry the
-    ``table`` they share, keyed by their ``index`` pair (its first one
-    inverted for a strict comparison), and make each comparison once;
-    other Lanes carry none.
+    ``table`` they share, keyed by their ``index`` pair (the first one
+    inverted for ``>``, which ``<`` asks in mirror), and make each
+    comparison once; other Lanes carry none.
     """
 
     __slots__ = ("bits", "guard", "table", "index")
@@ -162,15 +162,9 @@ class Lanes:
         return other <= self
 
     def __lt__(self, other: Lanes) -> int:
-        table = self.table
-        if table is None or other.table is not table:
+        if self.table is None:
             return self.guard ^ (other <= self)
-        key = ~other.index, self.index
-        try:
-            return table[key]
-        except KeyError:
-            out = table[key] = self.guard ^ (other <= self)
-            return out
+        return other > self
 
     def __gt__(self, other: Lanes) -> int:
         table = self.table
