@@ -16,7 +16,7 @@ from typing import NoReturn
 
 from . import __version__
 from .conditions import ConditionId, classify
-from .core import OrderedCodomain, SetFunction
+from .core import OrderedCodomain, SetFunction, _clip
 from .generators import (
     cut_function,
     modular_plus_concave,
@@ -185,7 +185,7 @@ def _parse_edges(text: str) -> list[tuple[int, int, int | Fraction]]:
             i, j = endpoints.split("-")
             edges.append((int(i), int(j), _parse_weight(weight)))
         except (ValueError, TypeError) as exc:
-            raise ValueError(f"bad edge {part!r} ({exc}); expected i-j:w (e.g. 0-1:1)") from None
+            raise ValueError(f"bad edge {_clip(part)} ({_cut(str(exc), 60)}); expected i-j:w (e.g. 0-1:1)") from None
     return edges
 
 
@@ -230,11 +230,14 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse echoes a bad argument whole: cut the message, well past any ordinary usage error."""
+def _cut(message: str, limit: int = 300) -> str:
+    """An error message that may echo outside input whole, cut well past any ordinary one."""
+    return message if len(message) <= limit else message[:limit] + "..."
 
+
+class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
-        super().error(message if len(message) <= 300 else message[:300] + "...")
+        super().error(_cut(message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, IndexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_cut(str(exc))}", file=sys.stderr)
         return 2
 
 

@@ -18,9 +18,10 @@ one pair (``holds_at_pair``, ``ConditionWitness.reproduces``); on ``Lanes``
 it decides many at once.  Vacuous hypotheses count as satisfied.
 
 ``Lanes`` packs many values into one Python int, one lane each, and is the
-only scan engine.  Its lanes run across Y for a single function: each row X
-is one predicate call over every Y (``_row_scan``), so memory is O(2**n)
-and time O(4**n).  The ordinal conditions scan ``f.ranks``, the dense
+only scan engine.  Its lanes run across Y for a single function: ``_rows``
+is the one walk over the rows X, and yields each row's four Lanes over every
+Y, so that one predicate call decides a row; memory is O(2**n) and time
+O(4**n).  The ordinal conditions scan ``f.ranks``, the dense
 ranks that ``core`` computes once per function, so that the level family
 F_i is {X : ranks[X] < i}.  Ranks are exact for every ordinal condition,
 which depends on order alone.  Ordinary submodularity scans the values as
@@ -31,7 +32,7 @@ mask, so witnesses are deterministic.
 
 ``_first_witnesses`` is the one function that finds the first witness of a
 condition, for every ``ConditionId``: the ordinal conditions in one shared row
-scan over the ranks, Ordinary (numeric codomains only) in a row scan over the
+walk over the ranks, Ordinary (numeric codomains only) in a row scan over the
 exact integers, and Injective with no scan, as the first mask whose rank comes
 again and the next mask of that rank.  ``classify``, ``check_condition``,
 ``check_ordinary_submodular``, ``injective_witness`` and
@@ -112,6 +113,12 @@ def incomparable_pair_table(n: int) -> tuple[Pair, ...]:
     return tuple(
         (x, y, x | y, x & y) for x in range(size) for y in range(size) if x & y not in (x, y)
     )
+
+
+@lru_cache(maxsize=None)
+def _ordered_pair_table(n: int) -> tuple[Pair, ...]:
+    """Every pair (X, Y, X|Y, X&Y) with X < Y by mask, in lexicographic order: the pairs of Injective."""
+    return tuple((x, y, x | y, x & y) for x in range(1 << n) for y in range(x + 1, 1 << n))
 
 
 # Bit-sliced evaluation of VIOLATES.  Many values share one Python int, one
@@ -211,19 +218,16 @@ class LaneChunk:
         shift = (bits & -bits).bit_length() - 8
         return tuple(col.bits >> shift & 0xFF for col in self.cols)
 
-    def hits(self, cond: ConditionId, pairs: Iterable[Pair] | None = None) -> list[int]:
-        """Per pair (incomparable ones by default, in order): the functions violating cond there."""
+    def hits(self, cond: ConditionId) -> list[int]:
+        """Per pair of ``pairs`` in order (for Injective, every X < Y): the functions violating cond there."""
         c, violates = self.cols, VIOLATES[cond]
-        return [violates(c[x], c[y], c[u], c[i]) for x, y, u, i in (self.pairs if pairs is None else pairs)]
+        pairs = _ordered_pair_table(self.n) if cond is ConditionId.INJECTIVE else self.pairs
+        return [violates(c[x], c[y], c[u], c[i]) for x, y, u, i in pairs]
 
     def holds(self, cond: ConditionId) -> int:
-        """The functions satisfying cond at every pair (Injective: at every pair X < Y)."""
-        pairs = None
-        if cond is ConditionId.INJECTIVE:
-            size = len(self.cols)
-            pairs = [(x, y, x | y, x & y) for y in range(size) for x in range(y)]
+        """The functions satisfying cond at every pair of ``hits``."""
         bad = 0
-        for bits in self.hits(cond, pairs):
+        for bits in self.hits(cond):
             bad |= bits
         return self.full ^ bad
 
@@ -301,23 +305,17 @@ def lane_chunks(blocks: Iterable[Sequence[bytes]], n: int) -> Iterator[LaneChunk
         yield _slice(bufs, n)
 
 
-def _row_scan(
-    n: int, vals: Sequence[int], conds: Sequence[ConditionId], first_only: bool
-) -> Iterator[tuple[int, ConditionId, int]]:
-    """Each incomparable (X, Y) violating one of conds, as (X, cond, Y).
+def _rows(n: int, vals: Sequence[int]) -> Iterator[tuple[int, tuple[Lanes, Lanes, Lanes, Lanes]]]:
+    """Each row X in ascending order, with its Lanes (f(X), f(Y), f(X∪Y), f(X∩Y)) over every Y.
 
-    Rows X ascend, then conds in their order, then Y ascends.  With
-    first_only, only each condition's first pair, and the scan ends when
-    every condition has one.  vals are nonnegative ints, one per mask.
-
-    A row is one predicate call on Lanes over every Y, lane Y holding
-    f(Y), f(X∪Y) or f(X∩Y), each lane w bits wide with its guard bit on
-    top.  The u = f(X∪Y) and i = f(X∩Y) lanes come from f by one
-    mask-and-shift step per bit of X, and the steps of different bits
-    commute, so they are applied from the top bit down and the (u, i) after
-    each bit level is kept on a stack.  Row x shares the bits above its
-    lowest set bit with row x - 1, so it redoes only the levels from that
-    bit down: about 2 steps per row instead of n.
+    vals are nonnegative ints, one per mask.  Each lane is w bits wide with
+    its guard bit on top, so a hit in lane Y is bit (Y + 1)·w - 1, and w is
+    the guard's bit_length() over 2**n.  The u = f(X∪Y) and i = f(X∩Y) lanes
+    come from f by one mask-and-shift step per bit of X, and the steps of
+    different bits commute, so they are applied from the top bit down and
+    the (u, i) after each bit level is kept on a stack.  Row x shares the
+    bits above its lowest set bit with row x - 1, so it redoes only the
+    levels from that bit down: about 2 steps per row instead of n.
 
     Comparable pairs are not masked out: there the values are (vx, vy, vy,
     vx) or (vx, vy, vx, vy), where no pairwise predicate holds (Injective,
@@ -338,7 +336,6 @@ def _row_scan(
     # level[j]: (u, i) once the steps of bits n-1 .. j of the current X are
     # applied; level[n] is f itself
     level = [(packed, packed)] * (n + 1)
-    todo = [(cond, VIOLATES[cond]) for cond in conds]
     for x in range(size):
         # bits above the lowest set bit of x are those of x - 1: start there
         top = ((x & -x) or (size >> 1)).bit_length() - 1
@@ -351,18 +348,7 @@ def _row_scan(
                 t = i & lo[j]
                 i = t | t << (w << j)
             level[j] = u, i
-        lanes = (Lanes(vals[x] * ones, guard), fy, Lanes(u, guard), Lanes(i, guard))
-        for cond, violates in tuple(todo):
-            hits = violates(*lanes)
-            while hits:
-                low = hits & -hits
-                yield x, cond, low.bit_length() // w - 1
-                if first_only:
-                    todo.remove((cond, violates))
-                    break
-                hits ^= low
-        if not todo:
-            return
+        yield x, (Lanes(vals[x] * ones, guard), fy, Lanes(u, guard), Lanes(i, guard))
 
 
 @record
@@ -434,7 +420,17 @@ def _first_witnesses(f: SetFunction, conds: Sequence[ConditionId]) -> dict[Condi
     if ConditionId.ORDINARY in conds:
         _require_numeric(f, ConditionId.ORDINARY)
         scans.append((f.exact_ints, [ConditionId.ORDINARY]))
-    hits = {cond: (x, y) for vals, group in scans for x, cond, y in _row_scan(f.n, vals, group, True)}
+    hits = {}
+    for vals, group in scans:
+        todo = {cond: VIOLATES[cond] for cond in group}
+        for x, lanes in _rows(f.n, vals):
+            for cond in tuple(todo):
+                bits = todo[cond](*lanes)
+                if bits:  # the lowest hit, decoded as in _rows
+                    hits[cond] = x, ((bits & -bits).bit_length() << f.n) // lanes[1].guard.bit_length() - 1
+                    del todo[cond]
+            if not todo:
+                break
     if ConditionId.INJECTIVE in conds:
         ranks = f.ranks
         last = {r: m for m, r in enumerate(ranks)}
@@ -464,8 +460,12 @@ def iter_witnesses(f: SetFunction, cond: ConditionId) -> Iterator[ConditionWitne
         raise ValueError("injectivity also concerns comparable pairs; see injective_witness")
     _require_numeric(f, cond)
     vals = f.exact_ints if cond is ConditionId.ORDINARY else f.ranks
-    for x, _, y in _row_scan(f.n, vals, (cond,), False):
-        yield _witness_at(f, cond, x, y)
+    for x, lanes in _rows(f.n, vals):
+        bits = VIOLATES[cond](*lanes)
+        while bits:  # lane by lane from the lowest, decoded as in _rows
+            low = bits & -bits
+            yield _witness_at(f, cond, x, (low.bit_length() << f.n) // lanes[1].guard.bit_length() - 1)
+            bits ^= low
 
 
 def check_ordinary_submodular(f: SetFunction) -> ConditionWitness | None:

@@ -558,6 +558,8 @@ class TestFuzzedArgv:
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @example(argv=["certify", "--point", "x" * 5000, "FILE"])
     @example(argv=["search", "--n", "4", "--predicate", "Q1"])
+    @example(argv=["generate", "cut", "--n", "3", "--edges", "0-1:" + "x" * 5000])
+    @example(argv=["classify", "x" * 5000])
     @given(argv=fuzzed_argv())
     def test_exit_code_is_0_1_or_2(self, r3_file, argv):
         argv = [{"FILE": r3_file, "MISSING": r3_file + ".missing"}.get(t, t) for t in argv]

@@ -42,7 +42,7 @@ from ordsub import (
     set_function_to_json,
 )
 from ordsub.conditions import (
-    LANE_MAX, VIOLATES, ClassReport, incomparable_pair_table, injective_witness, lane_chunks, vector_columns,
+    LANE_MAX, VIOLATES, ClassReport, _rows, incomparable_pair_table, injective_witness, lane_chunks, vector_columns,
 )
 from ordsub.core import _exact_ints
 from ordsub.generators import surjective_rank_vectors, weak_order_columns
@@ -627,6 +627,27 @@ class TestKernelParity:
                 ConditionId.Q4: None, ConditionId.QH: None, ConditionId.QUASI: q,
                 ConditionId.ORDINARY: ((1, top), ConditionId.ORDINARY),
             }
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_rows_yield_every_rows_lanes(self, n):
+        # decode each lane Y of the four Lanes of each row x, guard bit
+        # included, and it must read (v[x], v[Y], v[x|Y], v[x&Y]), with room
+        # below the guard for a sum of two; the long-carry inputs make the
+        # walk rebuild every bit level
+        full = (1 << n) - 1
+        cases = [random_function(n, OrderedCodomain(kind), d, seed=10 * n + d)
+                 for kind in ("integer", "rational") for d in sorted({2, min(5, 1 << n), 1 << n})]
+        cases += [modular_lowered(n, m) for k in range(n) for m in (1 << k, full ^ (1 << k))]
+        for f in cases:
+            for v in (f.ranks, f.exact_ints):
+                rows = list(_rows(n, v))
+                assert [x for x, _ in rows] == list(range(1 << n))
+                for x, lanes in rows:
+                    assert len({lane.guard for lane in lanes}) == 1
+                    w = lanes[0].guard.bit_length() >> n
+                    assert 2 * max(v) < 1 << (w - 1)
+                    got = [[lane.bits >> (y * w) & ((1 << w) - 1) for lane in lanes] for y in range(1 << n)]
+                    assert got == [[v[x], v[y], v[x | y], v[x & y]] for y in range(1 << n)], (f.values, x)
 
     @pytest.mark.parametrize("first, block", [(1, 1), (1, 7), (1, 1 << 18), (64, 64), (1 << 10, 1 << 12)])
     def test_block_size_does_not_move_witnesses(self, first, block):
