@@ -30,13 +30,24 @@ function (rationals scaled by the LCM of their denominators, less their
 minimum).  The witness is the lexicographically first violating (X, Y) by
 mask, so witnesses are deterministic.
 
+A scan calls a predicate only on the rows that can hit.  ``_live_rows``
+rules rows out from the maxima of f over each X's proper subsets and
+supersets, two transforms of n mask-and-shift steps each on the lanes, and
+decides Ordinary by its n(n-1)/2 diamonds f(S+i) + f(S+j) >= f(S+i+j) +
+f(S), which are equivalent to submodularity (Lovász 1983), so Ordinary's
+rows are scanned only when a diamond fails.  The walk stops after the last
+live row, and a strictly increasing f starts none.  ``_Layout`` is the lane
+setup of one scanned vector, built once per scan for the walk, the maxima
+and the diamonds.
+
 ``_first_witnesses`` is the one function that finds the first witness of a
 condition, for every ``ConditionId``: the ordinal conditions in one shared row
 walk over the ranks, Ordinary (numeric codomains only) in a row scan over the
 exact integers, and Injective with no scan, as the first mask whose rank comes
 again and the next mask of that rank.  ``classify``, ``check_condition``,
 ``check_ordinary_submodular``, ``injective_witness`` and
-``minimize.certify_global_min`` all ask it.
+``minimize.certify_global_min`` all ask it.  ``iter_witnesses`` reads the
+same table of live rows.
 
 For the exhaustive suites and witness search, at n <= ENUMERATION_CAP, the
 lanes run across functions instead (``lane_chunks``): blocks of enumerated
@@ -51,6 +62,7 @@ made once.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -305,37 +317,78 @@ def lane_chunks(blocks: Iterable[Sequence[bytes]], n: int) -> Iterator[LaneChunk
         yield _slice(bufs, n)
 
 
-def _rows(n: int, vals: Sequence[int]) -> Iterator[tuple[int, tuple[Lanes, Lanes, Lanes, Lanes]]]:
-    """Each row X in ascending order, with its Lanes (f(X), f(Y), f(X∪Y), f(X∩Y)) over every Y.
+class _Layout:
+    """The lane setup of one scanned vector, shared by its walk, its maxima and its diamonds.
 
     vals are nonnegative ints, one per mask.  Each lane is w bits wide with
-    its guard bit on top, so a hit in lane Y is bit (Y + 1)·w - 1, and w is
-    the guard's bit_length() over 2**n.  The u = f(X∪Y) and i = f(X∩Y) lanes
-    come from f by one mask-and-shift step per bit of X, and the steps of
-    different bits commute, so they are applied from the top bit down and
-    the (u, i) after each bit level is kept on a stack.  Row x shares the
-    bits above its lowest set bit with row x - 1, so it redoes only the
-    levels from that bit down: about 2 steps per row instead of n.
+    its guard bit on top, so lane Y's guard is bit (Y + 1)·w - 1, and w
+    leaves room below the guard for a value plus one or a sum of two.
+    ``hi[j]`` and ``lo[j]`` are the lanes whose index has bit j set, and
+    clear; ``packed`` is f, lane Y holding vals[Y].  It is built once per
+    scan and never cached: at n = 20 the masks take about 110 MB.
+    """
+
+    __slots__ = ("w", "ones", "guard", "hi", "lo", "packed")
+
+    def __init__(self, n: int, vals: Sequence[int]) -> None:
+        self.w = w = max(vals).bit_length() + 2
+        ones, hi = 1, []
+        for j in range(n):  # hi[j]: lanes 2**j .. 2**(j+1) - 1, copied 2**k lanes up for each bit k above j
+            h = ((1 << (w << j)) - 1) << (w << j)
+            for k in range(j + 1, n):
+                h |= h << (w << k)
+            hi.append(h)
+            ones |= ones << (w << j)
+        full = (1 << (w << n)) - 1
+        self.ones, self.guard, self.hi, self.lo = ones, ones << (w - 1), hi, [full ^ h for h in hi]
+        spec = f"0{w}b"
+        lane = {v: format(v, spec) for v in set(vals)}
+        self.packed = int("".join(map(lane.__getitem__, reversed(vals))), 2)
+
+    def lane_max(self, a: int, b: int) -> int:
+        """The lane-wise maximum of a and b, whose lanes hold values below the guard bit."""
+        ge = ((a | self.guard) - b) & self.guard  # the guard bit of each lane where a >= b
+        return b ^ ((a ^ b) & (ge - (ge >> (self.w - 1))))
+
+    def proper_maxima(self, down: bool) -> int:
+        """Lane X: 1 + the maximum of f over the proper subsets (down) or supersets of X, or 0 if none.
+
+        Before step j, ``p`` is the maximum over the proper ones that differ
+        from X in bits below j alone, and max(f + 1, p) the same with X
+        itself; step j brings the latter in from X's neighbour across bit j,
+        below X (down) or above it.
+        """
+        g, w, p = self.packed + self.ones, self.w, 0
+        for j in range(len(self.hi)):
+            t = self.lane_max(g, p)
+            p = self.lane_max(p, (t & self.lo[j]) << (w << j) if down else (t & self.hi[j]) >> (w << j))
+        return p
+
+
+def _rows(
+    n: int, vals: Sequence[int], lay: _Layout | None = None
+) -> Iterator[tuple[int, tuple[Lanes, Lanes, Lanes, Lanes]]]:
+    """Each row X in ascending order, with its Lanes (f(X), f(Y), f(X∪Y), f(X∩Y)) over every Y.
+
+    ``lay`` is the ``_Layout`` of vals, built here if not given.  The
+    u = f(X∪Y) and i = f(X∩Y) lanes come from f by one mask-and-shift step
+    per bit of X, and the steps of different bits commute, so they are
+    applied from the top bit down and the (u, i) after each bit level is
+    kept on a stack.  Row x shares the bits above its lowest set bit with
+    row x - 1, so it redoes only the levels from that bit down: about 2
+    steps per row instead of n.
 
     Comparable pairs are not masked out: there the values are (vx, vy, vy,
     vx) or (vx, vy, vx, vy), where no pairwise predicate holds (Injective,
     which is not pairwise, never comes here).  So a row's lowest hit is its
     first incomparable violating Y.
     """
-    size = 1 << n
-    w = max(vals).bit_length() + 2
-    ones = int(("0" * (w - 1) + "1") * size, 2)
-    guard = ones << (w - 1)
-    full = (1 << w * size) - 1
-    # hi[j] and lo[j]: the lanes whose index has bit j set, and clear
-    hi = [int(("1" * (w << j) + "0" * (w << j)) * (size >> (j + 1)), 2) for j in range(n)]
-    lo = [full ^ h for h in hi]
-    lane = {v: format(v, f"0{w}b") for v in set(vals)}
-    packed = int("".join(map(lane.__getitem__, reversed(vals))), 2)
-    fy = Lanes(packed, guard)
+    lay = lay or _Layout(n, vals)
+    size, w, ones, guard, hi, lo = 1 << n, lay.w, lay.ones, lay.guard, lay.hi, lay.lo
+    fy = Lanes(lay.packed, guard)
     # level[j]: (u, i) once the steps of bits n-1 .. j of the current X are
     # applied; level[n] is f itself
-    level = [(packed, packed)] * (n + 1)
+    level = [(lay.packed, lay.packed)] * (n + 1)
     for x in range(size):
         # bits above the lowest set bit of x are those of x - 1: start there
         top = ((x & -x) or (size >> 1)).bit_length() - 1
@@ -349,6 +402,55 @@ def _rows(n: int, vals: Sequence[int]) -> Iterator[tuple[int, tuple[Lanes, Lanes
                 i = t | t << (w << j)
             level[j] = u, i
         yield x, (Lanes(vals[x] * ones, guard), fy, Lanes(u, guard), Lanes(i, guard))
+
+
+def _diamonds_hold(lay: _Layout) -> bool:
+    """Whether f(S+i) + f(S+j) >= f(S+i+j) + f(S) at every S and i < j: n(n-1)/2 calls of VIOLATES.
+
+    These diamonds are equivalent to ordinary submodularity (Lovász 1983).
+    Lane S of ``up[j]`` is f(S ∪ {j}), by the union step of ``_rows``; a
+    lane whose S holds i or j has equal sums, so it never hits.
+    """
+    violates, w, guard, hi = VIOLATES[ConditionId.ORDINARY], lay.w, lay.guard, lay.hi
+    up = [(t := lay.packed & h) | t >> (w << j) for j, h in enumerate(hi)]
+    fs = Lanes(lay.packed, guard)
+    for j in range(len(hi)):
+        for i in range(j):
+            t = up[i] & hi[j]
+            if violates(Lanes(up[i], guard), Lanes(up[j], guard), Lanes(t | t >> (w << j), guard), fs):
+                return False
+    return True
+
+
+def _live_rows(lay: _Layout, vals: Sequence[int], conds: Iterable[ConditionId]) -> dict[ConditionId, str]:
+    """Per condition, a character per row X from X = 0 up: "1" if X may hold a violating Y, else "0".
+
+    With Z = X∩Y ⊊ X and U = X∪Y ⊋ X for an incomparable Y, a hit at row X
+    of Q1 or Quasi needs f(Z) >= f(X); of Q2 or Q3, f(Z) > f(X); of Q4, that
+    and f(U) > f(X); and of Qh, f(Z) >= f(X), f(U) >= f(X) and another
+    subset of X's value.  So the maxima of f over X's proper subsets and
+    supersets rule rows out.  Ordinary's rows are all live if a diamond
+    fails, and none otherwise.
+    """
+    conds = set(conds)
+    guard, bits = lay.guard, {}
+    if ConditionId.ORDINARY in conds:
+        bits[ConditionId.ORDINARY] = 0 if _diamonds_hold(lay) else guard
+    if conds - {ConditionId.ORDINARY}:
+        fx = Lanes(lay.packed + lay.ones, guard)  # f + 1, as in the maxima
+        below = Lanes(lay.proper_maxima(True), guard)
+        bits[ConditionId.Q1] = bits[ConditionId.QUASI] = below >= fx
+        bits[ConditionId.Q2] = bits[ConditionId.Q3] = below > fx
+    if conds & {ConditionId.Q4, ConditionId.QH}:
+        above = Lanes(lay.proper_maxima(False), guard)
+        bits[ConditionId.Q4] = bits[ConditionId.Q2] & (above > fx)
+        bits[ConditionId.QH] = qh = bits[ConditionId.Q1] & (above >= fx)
+        if qh and 1 in (counts := Counter(vals)).values():  # keep the rows whose value another subset takes
+            lane = {v: ("1" if k > 1 else "0") + "0" * (lay.w - 1) for v, k in counts.items()}
+            bits[ConditionId.QH] &= int("".join(map(lane.__getitem__, reversed(vals))), 2)
+    w = lay.w
+    rows = {b: format(b, f"0{w * len(vals)}b")[-w::-w] for b in {bits[cond] for cond in conds}}
+    return {cond: rows[bits[cond]] for cond in conds}
 
 
 @record
@@ -422,14 +524,20 @@ def _first_witnesses(f: SetFunction, conds: Sequence[ConditionId]) -> dict[Condi
         scans.append((f.exact_ints, [ConditionId.ORDINARY]))
     hits = {}
     for vals, group in scans:
-        todo = {cond: VIOLATES[cond] for cond in group}
-        for x, lanes in _rows(f.n, vals):
-            for cond in tuple(todo):
-                bits = todo[cond](*lanes)
-                if bits:  # the lowest hit, decoded as in _rows
-                    hits[cond] = x, ((bits & -bits).bit_length() << f.n) // lanes[1].guard.bit_length() - 1
+        lay = _Layout(f.n, vals)
+        live = _live_rows(lay, vals, group)
+        last = {cond: rows.rfind("1") for cond, rows in live.items()}
+        todo = {cond: (VIOLATES[cond], live[cond]) for cond in group if last[cond] >= 0}
+        end = max(map(last.__getitem__, todo), default=-1)
+        if end < 0:
+            continue
+        for x, lanes in _rows(f.n, vals, lay):
+            for cond, (violates, rows) in tuple(todo.items()):
+                if rows[x] == "1" and (bits := violates(*lanes)):  # the lowest hit is lane Y, guard bit (Y + 1)·w - 1
+                    hits[cond] = x, (bits & -bits).bit_length() // lay.w - 1
                     del todo[cond]
-            if not todo:
+                    end = max(map(last.__getitem__, todo), default=-1)
+            if x >= end:
                 break
     if ConditionId.INJECTIVE in conds:
         ranks = f.ranks
@@ -460,12 +568,20 @@ def iter_witnesses(f: SetFunction, cond: ConditionId) -> Iterator[ConditionWitne
         raise ValueError("injectivity also concerns comparable pairs; see injective_witness")
     _require_numeric(f, cond)
     vals = f.exact_ints if cond is ConditionId.ORDINARY else f.ranks
-    for x, lanes in _rows(f.n, vals):
-        bits = VIOLATES[cond](*lanes)
-        while bits:  # lane by lane from the lowest, decoded as in _rows
-            low = bits & -bits
-            yield _witness_at(f, cond, x, (low.bit_length() << f.n) // lanes[1].guard.bit_length() - 1)
-            bits ^= low
+    lay = _Layout(f.n, vals)
+    rows = _live_rows(lay, vals, (cond,))[cond]
+    end, violates = rows.rfind("1"), VIOLATES[cond]
+    if end < 0:
+        return
+    for x, lanes in _rows(f.n, vals, lay):
+        if rows[x] == "1":
+            bits = violates(*lanes)
+            while bits:  # lane by lane from the lowest, lane Y's guard being bit (Y + 1)·w - 1
+                low = bits & -bits
+                yield _witness_at(f, cond, x, low.bit_length() // lay.w - 1)
+                bits ^= low
+        if x == end:
+            return
 
 
 def check_ordinary_submodular(f: SetFunction) -> ConditionWitness | None:

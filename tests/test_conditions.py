@@ -41,8 +41,10 @@ from ordsub import (
     random_function,
     set_function_to_json,
 )
+from ordsub import conditions
 from ordsub.conditions import (
-    LANE_MAX, VIOLATES, ClassReport, _rows, incomparable_pair_table, injective_witness, lane_chunks, vector_columns,
+    LANE_MAX, VIOLATES, ClassReport, _diamonds_hold, _Layout, _live_rows, _rows, incomparable_pair_table,
+    injective_witness, lane_chunks, vector_columns,
 )
 from ordsub.core import _exact_ints
 from ordsub.generators import surjective_rank_vectors, weak_order_columns
@@ -716,6 +718,106 @@ class TestKernelParity:
         # Python ints have no overflow to fall back from
         assert _exact_ints([Fraction(1, 3), Fraction(1, 2), 2]) == [0, 1, 10]
         assert _exact_ints([1, -(2**61), 2**62]) == [2**61 + 1, 0, 2**62 + 2**61]
+
+
+# Row skipping: the rows that the subset and superset maxima rule out hold no
+# hit, and the diamond pass decides ordinary submodularity as the rows do.
+
+def hit_rows(cond, vals, n):
+    """The rows X at which some Y violates cond, by the oracle."""
+    return {x for x, y, u, i in lazy_incomparable_pairs(n) if not oracle_holds(cond, vals[x], vals[y], vals[u], vals[i])}
+
+
+def assert_hit_rows_live(f):
+    ranks = f.ranks
+    together = _live_rows(_Layout(f.n, ranks), ranks, ORDINAL_CHECKS)
+    for cond in ORDINAL_CHECKS + ([ConditionId.ORDINARY] if f.codomain.is_numeric else []):
+        vals = f.exact_ints if cond is ConditionId.ORDINARY else ranks
+        rows = _live_rows(_Layout(f.n, vals), vals, (cond,))[cond]
+        assert len(rows) == f.size and set(rows) <= {"0", "1"}
+        assert all(rows[x] == "1" for x in hit_rows(cond, vals, f.n)), (f.values, cond, rows)
+        assert cond is ConditionId.ORDINARY or together[cond] == rows
+
+
+def row_scan_holds(n, vals, lay):
+    """Whether the Ordinary row scan over vals finds no hit."""
+    violates = VIOLATES[ConditionId.ORDINARY]
+    return not any(violates(*lanes) for _, lanes in _rows(n, vals, lay))
+
+
+class TestRowSkipping:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.integers(1, 1 << n).flatmap(
+        lambda top: st.lists(st.integers(0, top - 1), min_size=1 << n, max_size=1 << n))))
+    def test_every_hit_row_is_live_on_drawn_rank_vectors(self, vals):
+        assert_hit_rows_live(intfn(vals))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_hit_row_is_live_on_seeded_functions(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        cases = [random_function(n, OrderedCodomain(kind), d, seed=rng.randrange(1 << 20))
+                 for kind in ("integer", "rational") for d in sorted({2, min(3, 1 << n), min(6, 1 << n), 1 << n}) for _ in range(3)]
+        for _ in range(6):
+            edges = [(i, j, Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+                     for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+            diffs = sorted((rng.randint(-4, 4) for _ in range(n)), reverse=True)
+            cases.append(cut_function(n, edges))
+            cases.append(modular_plus_concave(n, [rng.randint(-5, 5) for _ in range(n)], [0, *accumulate(diffs)]))
+        cases += [modular_lowered(n, m) for k in range(n) for m in (1 << k, full ^ (1 << k))]
+        for f in cases:
+            assert_hit_rows_live(f)
+
+    def test_diamonds_match_the_row_scan_on_every_n3_weak_order(self):
+        holds = 0
+        for vec in surjective_rank_vectors(8):
+            lay = _Layout(3, vec)
+            diamonds = _diamonds_hold(lay)
+            assert diamonds == row_scan_holds(3, vec, lay), vec
+            holds += diamonds
+        assert holds == 30_417
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_diamonds_match_the_row_scan_on_seeded_functions(self, n):
+        # random functions, and submodular ones moved at one mask, so that
+        # both answers come up
+        rng = random.Random(50 + n)
+        cases = [random_function(n, OrderedCodomain(kind), min(2 + seed % 7, 1 << n), seed=100 * n + seed)
+                 for kind in ("integer", "rational") for seed in range(25)]
+        for seed in range(25):
+            diffs = sorted((Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)), reverse=True)
+            g = modular_plus_concave(n, [rng.randint(-5, 5) for _ in range(n)], [0, *accumulate(diffs)])
+            vals = list(g.values)
+            vals[rng.randrange(g.size)] += Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            cases.append(SetFunction(g.ground, g.codomain, tuple(vals)))
+        outcomes = Counter()
+        for f in cases:
+            vals = f.exact_ints
+            lay = _Layout(n, vals)
+            diamonds = _diamonds_hold(lay)
+            assert diamonds == row_scan_holds(n, vals, lay), f.values
+            outcomes[diamonds] += 1
+        assert outcomes[True] and outcomes[False]
+
+    def test_strictly_increasing_n12_makes_no_row_predicate_call(self, monkeypatch):
+        # every row is dead for every ordinal condition, so the walk never
+        # starts, and the diamond pass alone decides Ordinary
+        calls = Counter()
+        for cond, violates in list(VIOLATES.items()):
+            monkeypatch.setitem(VIOLATES, cond, lambda *v, cond=cond, violates=violates: calls.update([cond]) or violates(*v))
+
+        def no_walk(*args):
+            raise AssertionError("the row walk started")
+
+        monkeypatch.setattr(conditions, "_rows", no_walk)
+        f = modular_plus_concave(12, random.Random(12).sample(range(1, 13), 12), [0] * 13)
+        report = classify(f)
+        assert all(report.flags[c] for c in ConditionId if c is not ConditionId.INJECTIVE)
+        assert calls == {ConditionId.ORDINARY: 12 * 11 // 2}
+        calls.clear()
+        assert all(check_condition(f, cond) is None for cond in ORDINAL_CHECKS)
+        assert list(iter_witnesses(f, ConditionId.QH)) == []
+        assert calls == {}
 
 
 # The bit-sliced evaluator: VIOLATES over chunks of functions, one lane each.
