@@ -31,8 +31,10 @@ minimum).  The witness is the lexicographically first violating (X, Y) by
 mask, so witnesses are deterministic.
 
 A scan calls a predicate only on the rows that can hit.  ``_live_rows``
-rules rows out from the maxima of f over each X's proper subsets and
-supersets, two transforms of n mask-and-shift steps each on the lanes, and
+finds them with each condition's own ``VIOLATES`` predicate, called on
+lanes of bounds rather than of values: the maxima of f over each X's proper
+subsets and supersets, two transforms of n mask-and-shift steps each, for
+f(X∩Y) and f(X∪Y), and the least value of any other subset for f(Y).  It
 decides Ordinary by its n(n-1)/2 diamonds f(S+i) + f(S+j) >= f(S+i+j) +
 f(S), which are equivalent to submodularity (Lovász 1983), so Ordinary's
 rows are scanned only when a diamond fails.  The walk stops after the last
@@ -181,8 +183,6 @@ class Lanes:
         return other <= self
 
     def __lt__(self, other: Lanes) -> int:
-        if self.table is None:
-            return self.guard ^ (other <= self)
         return other > self
 
     def __gt__(self, other: Lanes) -> int:
@@ -426,30 +426,37 @@ def _diamonds_hold(lay: _Layout) -> bool:
 def _live_rows(lay: _Layout, vals: Sequence[int], conds: Iterable[ConditionId]) -> dict[ConditionId, str]:
     """Per condition, a character per row X from X = 0 up: "1" if X may hold a violating Y, else "0".
 
-    With Z = X∩Y ⊊ X and U = X∪Y ⊋ X for an incomparable Y, a hit at row X
-    of Q1 or Quasi needs f(Z) >= f(X); of Q2 or Q3, f(Z) > f(X); of Q4, that
-    and f(U) > f(X); and of Qh, f(Z) >= f(X), f(U) >= f(X) and another
-    subset of X's value.  So the maxima of f over X's proper subsets and
-    supersets rule rows out.  Ordinary's rows are all live if a diamond
-    fails, and none otherwise.
+    For an incomparable Y, f(X∩Y) <= below and f(X∪Y) <= above, the maxima
+    of f over X's proper subsets and supersets, and f(Y) >= least, the least
+    value of a subset other than X.  A comparison-only predicate of
+    ``VIOLATES`` gains hits as vu and vi grow and as vy falls, save where it
+    needs vy == vx.  So X is live if the predicate holds at (f(X), least,
+    above, below), or at (f(X), f(X), above, below) when another subset
+    takes X's value.  Ordinary adds values, so its rows are all live if a
+    diamond fails, and none otherwise.
     """
     conds = set(conds)
-    guard, bits = lay.guard, {}
+    guard, w, bits = lay.guard, lay.w, {}
     if ConditionId.ORDINARY in conds:
         bits[ConditionId.ORDINARY] = 0 if _diamonds_hold(lay) else guard
-    if conds - {ConditionId.ORDINARY}:
+    if ordinal := conds - {ConditionId.ORDINARY}:
         fx = Lanes(lay.packed + lay.ones, guard)  # f + 1, as in the maxima
-        below = Lanes(lay.proper_maxima(True), guard)
-        bits[ConditionId.Q1] = bits[ConditionId.QUASI] = below >= fx
-        bits[ConditionId.Q2] = bits[ConditionId.Q3] = below > fx
-    if conds & {ConditionId.Q4, ConditionId.QH}:
-        above = Lanes(lay.proper_maxima(False), guard)
-        bits[ConditionId.Q4] = bits[ConditionId.Q2] & (above > fx)
-        bits[ConditionId.QH] = qh = bits[ConditionId.Q1] & (above >= fx)
-        if qh and 1 in (counts := Counter(vals)).values():  # keep the rows whose value another subset takes
-            lane = {v: ("1" if k > 1 else "0") + "0" * (lay.w - 1) for v, k in counts.items()}
-            bits[ConditionId.QH] &= int("".join(map(lane.__getitem__, reversed(vals))), 2)
-    w = lay.w
+        above, below = (Lanes(lay.proper_maxima(down), guard) for down in (False, True))
+        low = min(vals)
+        least = (low + 1) * lay.ones
+        if vals.count(low) == 1 < len(vals):  # on the unique minimum, the second-smallest value
+            x = vals.index(low)
+            least += (min(vals[:x] + vals[x + 1:]) - low) << (w * x)
+        least, shared = Lanes(least, guard), None
+        for cond in ordinal:
+            violates = VIOLATES[cond]
+            bits[cond] = violates(fx, least, above, below)
+            if same := violates(fx, fx, above, below):
+                if shared is None:  # the rows whose value another subset takes
+                    counts = Counter(vals)
+                    lane = {v: ("1" if k > 1 else "0") + "0" * (w - 1) for v, k in counts.items()}
+                    shared = int("".join(map(lane.__getitem__, reversed(vals))), 2)
+                bits[cond] |= same & shared
     rows = {b: format(b, f"0{w * len(vals)}b")[-w::-w] for b in {bits[cond] for cond in conds}}
     return {cond: rows[bits[cond]] for cond in conds}
 
@@ -643,18 +650,7 @@ class ClassReport:
         This is the vector preserved by strictly increasing value relabelings;
         ordinary submodularity depends on sums, so it is excluded.
         """
-        return tuple(
-            self.flags[c]
-            for c in (
-                ConditionId.Q1,
-                ConditionId.Q2,
-                ConditionId.Q3,
-                ConditionId.Q4,
-                ConditionId.QH,
-                ConditionId.QUASI,
-                ConditionId.INJECTIVE,
-            )
-        )
+        return tuple(self.flags[c] for c in ConditionId if c is not ConditionId.ORDINARY)
 
     def to_json(self, f: SetFunction, include_witnesses: bool = False) -> dict:
         out: dict = {c.value: self.flags[c] for c in ConditionId}

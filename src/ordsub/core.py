@@ -252,7 +252,8 @@ class OrderedCodomain:
                 return raw
             if isinstance(raw, (tuple, list)) and len(raw) == 2:
                 num, den = raw
-                if isinstance(num, int) and isinstance(den, int) and not isinstance(num, bool) and not isinstance(den, bool):
+                if (isinstance(num, int) and isinstance(den, int)
+                        and not isinstance(num, bool) and not isinstance(den, bool)):
                     if den == 0:
                         raise ValueError("rational denominator must be nonzero")
                     return Fraction(num, den)

@@ -322,7 +322,8 @@ def parse_predicate(text: str) -> ClassPredicate:
             return node
         key = t.lower()
         if key not in _ALIASES:
-            raise ValueError(f"unknown condition {_clip(t)}; expected one of Q1..Q4, Qh, QuasiSubmodular, OrdinarySubmodular, Injective")
+            raise ValueError(f"unknown condition {_clip(t)}; expected one of Q1..Q4, Qh, QuasiSubmodular, "
+                             "OrdinarySubmodular, Injective")
         return ("flag", _ALIASES[key]), 0
 
     node, _ = parse_or()

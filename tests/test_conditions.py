@@ -747,6 +747,26 @@ def row_scan_holds(n, vals, lay):
 
 
 class TestRowSkipping:
+    def test_live_row_rule_rests_on_monotone_predicates(self):
+        # _live_rows evaluates each ordinal predicate at (vx, least, above,
+        # below), and at (vx, vx, above, below) on rows whose value is shared:
+        # sound if a hit survives vy falling and vu, vi growing, save where
+        # the hit needs vy == vx
+        top = 4
+        for cond in ORDINAL_CHECKS:
+            violates = VIOLATES[cond]
+            for vx, vy, vu, vi in product(range(top + 1), repeat=4):
+                if not violates(vx, vy, vu, vi):
+                    continue
+                for low, up, inter in product(range(vy + 1), range(vu, top + 1), range(vi, top + 1)):
+                    assert violates(vx, low, up, inter) or (vy == vx and violates(vx, vx, up, inter)), (
+                        cond, (vx, vy, vu, vi), (low, up, inter))
+        # _rows leaves comparable pairs in its lanes: X ⊆ Y gives (a, b, b, a)
+        # and Y ⊆ X gives (a, b, a, b), where no pairwise predicate holds
+        for cond in ORDINAL_CHECKS + [ConditionId.ORDINARY]:
+            for a, b in product(range(top + 1), repeat=2):
+                assert not VIOLATES[cond](a, b, b, a) and not VIOLATES[cond](a, b, a, b), (cond, a, b)
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda n: st.integers(1, 1 << n).flatmap(
         lambda top: st.lists(st.integers(0, top - 1), min_size=1 << n, max_size=1 << n))))
@@ -812,18 +832,31 @@ class TestRowSkipping:
 
             monkeypatch.setitem(VIOLATES, cond, counted)
 
+        # an injective f has no live Qh row, its unique minimum included, so
+        # classify calls Qh only twice, in _live_rows, and never walks its rows
+        for n in range(4, 11):
+            g = random_function(n, OrderedCodomain("integer"), 1 << n, seed=n)
+            assert "1" not in _live_rows(_Layout(n, g.ranks), g.ranks, (ConditionId.QH,))[ConditionId.QH]
+            calls.clear()
+            assert classify(g).flags[ConditionId.QH]
+            assert calls[ConditionId.QH] == 2
+
         def no_walk(*args):
             raise AssertionError("the row walk started")
 
         monkeypatch.setattr(conditions, "_rows", no_walk)
         f = modular_plus_concave(12, random.Random(12).sample(range(1, 13), 12), [0] * 13)
+        calls.clear()
         report = classify(f)
         assert all(report.flags[c] for c in ConditionId if c is not ConditionId.INJECTIVE)
-        assert calls == {ConditionId.ORDINARY: 12 * 11 // 2}
+        # _live_rows calls each ordinal predicate twice, and Quasi's calls reach Q1 and Q2
+        ordinal = {ConditionId.Q1: 4, ConditionId.Q2: 4, ConditionId.Q3: 2, ConditionId.Q4: 2, ConditionId.QH: 2,
+                   ConditionId.QUASI: 2}
+        assert calls == {**ordinal, ConditionId.ORDINARY: 12 * 11 // 2}
         calls.clear()
         assert all(check_condition(f, cond) is None for cond in ORDINAL_CHECKS)
         assert list(iter_witnesses(f, ConditionId.QH)) == []
-        assert calls == {}
+        assert calls == {**ordinal, ConditionId.QH: 4}
 
 
 # The bit-sliced evaluator: VIOLATES over chunks of functions, one lane each.
@@ -926,7 +959,9 @@ class TestLaneChunks:
         duals = lane_chunks(vector_columns(complements, 8), 3)
         for c, want in zip(lane_chunks(self.BLOCKS, 3), duals):
             d = c.dual()
-            edges = {0, c.count - 1} | {k - offset + e for k in starts for e in (-1, 0) if 0 <= k - offset + e < c.count}
+            edges = {0, c.count - 1} | {
+                k - offset + e for k in starts for e in (-1, 0) if 0 <= k - offset + e < c.count
+            }
             for k in sorted(edges):
                 lane = 1 << lane_bit(k)
                 assert c.vector(lane) == self.VECTORS[offset + k], k
