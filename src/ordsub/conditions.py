@@ -34,22 +34,24 @@ A scan calls a predicate only on the rows that can hit.  ``_live_rows``
 finds them with each condition's own ``VIOLATES`` predicate, called on
 lanes of bounds rather than of values: the maxima of f over each X's proper
 subsets and supersets, two transforms of n mask-and-shift steps each, for
-f(X∩Y) and f(X∪Y), and the least value of any other subset for f(Y).  It
-decides Ordinary by its n(n-1)/2 diamonds f(S+i) + f(S+j) >= f(S+i+j) +
-f(S), which are equivalent to submodularity (Lovász 1983), so Ordinary's
-rows are scanned only when a diamond fails.  The walk stops after the last
-live row, and a strictly increasing f starts none.  ``_Layout`` is the lane
-setup of one scanned vector, built once per scan for the walk, the maxima
-and the diamonds.
+f(X∩Y) and f(X∪Y), and for f(Y) the least rank of any other subset, which
+one count of the ranks gives, as it gives the ranks that several subsets
+share.  It decides Ordinary by its n(n-1)/2 diamonds f(S+i) + f(S+j) >=
+f(S+i+j) + f(S), which are equivalent to submodularity (Lovász 1983), so
+Ordinary's rows are scanned only when a diamond fails.  The walk stops after
+the last live row, and a strictly increasing f starts none.
 
-``_first_witnesses`` is the one function that finds the first witness of a
-condition, for every ``ConditionId``: the ordinal conditions in one shared row
-walk over the ranks, Ordinary (numeric codomains only) in a row scan over the
-exact integers, and Injective with no scan, as the first mask whose rank comes
-again and the next mask of that rank.  ``classify``, ``check_condition``,
+``_scan_setup`` is the one set-up of a row scan.  It builds ``_Layout``, the
+vector and its lanes, shared by the walk, the maxima, the diamonds and the
+live rows, and gives each condition with a live row its predicate, its live
+rows and its last live row.  Two loops walk from there: ``iter_witnesses``,
+and ``_first_witnesses``, which finds the first witness of every
+``ConditionId``: the ordinal conditions in one shared walk over the ranks,
+Ordinary (numeric codomains only) in a walk over the exact integers, and
+Injective with no scan, as the first mask whose rank comes again and the
+next mask of that rank.  ``classify``, ``check_condition``,
 ``check_ordinary_submodular``, ``injective_witness`` and
-``minimize.certify_global_min`` all ask it.  ``iter_witnesses`` reads the
-same table of live rows.
+``minimize.certify_global_min`` all ask it.
 
 For the exhaustive suites and witness search, at n <= ENUMERATION_CAP, the
 lanes run across functions instead (``lane_chunks``): blocks of enumerated
@@ -88,15 +90,6 @@ class ConditionId(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-PAIRWISE_CONDITIONS = (
-    ConditionId.Q1,
-    ConditionId.Q2,
-    ConditionId.Q3,
-    ConditionId.Q4,
-    ConditionId.QH,
-)
 
 
 # Violation predicates on (f(X), f(Y), f(X∪Y), f(X∩Y)).  The operands are
@@ -160,7 +153,6 @@ class Lanes:
     """
 
     __slots__ = ("bits", "guard", "table", "index")
-    __hash__ = None
 
     def __init__(self, bits: int, guard: int, table: dict | None = None, index: int = -1) -> None:
         self.bits = bits
@@ -318,20 +310,21 @@ def lane_chunks(blocks: Iterable[Sequence[bytes]], n: int) -> Iterator[LaneChunk
 
 
 class _Layout:
-    """The lane setup of one scanned vector, shared by its walk, its maxima and its diamonds.
+    """One scanned vector and its lane setup, shared by its walk, its maxima, its diamonds and its live rows.
 
-    vals are nonnegative ints, one per mask.  Each lane is w bits wide with
-    its guard bit on top, so lane Y's guard is bit (Y + 1)·w - 1, and w
-    leaves room below the guard for a value plus one or a sum of two.
-    ``hi[j]`` and ``lo[j]`` are the lanes whose index has bit j set, and
-    clear; ``packed`` is f, lane Y holding vals[Y].  It is built once per
-    scan and never cached: the masks take 2·n·w·2**n bits, 52 MB at n = 20
-    and w = 10.
+    vals are nonnegative ints, one per mask of n elements.  Each lane is w
+    bits wide with its guard bit on top, so lane Y's guard is bit (Y + 1)·w
+    - 1, and w leaves room below the guard for a value plus one or a sum of
+    two.  ``hi[j]`` and ``lo[j]`` are the lanes whose index has bit j set,
+    and clear; ``packed`` is f, lane Y holding vals[Y].  It is built once
+    per scan and never cached: the masks take 2·n·w·2**n bits, 52 MB at
+    n = 20 and w = 10.
     """
 
-    __slots__ = ("w", "ones", "guard", "hi", "lo", "packed")
+    __slots__ = ("n", "vals", "w", "ones", "guard", "hi", "lo", "packed")
 
     def __init__(self, n: int, vals: Sequence[int]) -> None:
+        self.n, self.vals = n, vals
         self.w = w = max(vals).bit_length() + 2
         ones, hi = 1, []
         for j in range(n):  # hi[j]: lanes 2**j .. 2**(j+1) - 1, copied 2**k lanes up for each bit k above j
@@ -360,20 +353,17 @@ class _Layout:
         below X (down) or above it.
         """
         g, w, p = self.packed + self.ones, self.w, 0
-        for j in range(len(self.hi)):
+        for j in range(self.n):
             t = self.lane_max(g, p)
             p = self.lane_max(p, (t & self.lo[j]) << (w << j) if down else (t & self.hi[j]) >> (w << j))
         return p
 
 
-def _rows(
-    n: int, vals: Sequence[int], lay: _Layout | None = None
-) -> Iterator[tuple[int, tuple[Lanes, Lanes, Lanes, Lanes]]]:
+def _rows(lay: _Layout) -> Iterator[tuple[int, tuple[Lanes, Lanes, Lanes, Lanes]]]:
     """Each row X in ascending order, with its Lanes (f(X), f(Y), f(X∪Y), f(X∩Y)) over every Y.
 
-    ``lay`` is the ``_Layout`` of vals, built here if not given.  The
-    u = f(X∪Y) and i = f(X∩Y) lanes come from f by one mask-and-shift step
-    per bit of X, and the steps of different bits commute, so they are
+    The u = f(X∪Y) and i = f(X∩Y) lanes come from f by one mask-and-shift
+    step per bit of X, and the steps of different bits commute, so they are
     applied from the top bit down and the (u, i) after each bit level is
     kept on a stack.  Row x shares the bits above its lowest set bit with
     row x - 1, so it redoes only the levels from that bit down: about 2
@@ -384,7 +374,7 @@ def _rows(
     which is not pairwise, never comes here).  So a row's lowest hit is its
     first incomparable violating Y.
     """
-    lay = lay or _Layout(n, vals)
+    n, vals = lay.n, lay.vals
     size, w, ones, guard, hi, lo = 1 << n, lay.w, lay.ones, lay.guard, lay.hi, lay.lo
     fy = Lanes(lay.packed, guard)
     # level[j]: (u, i) once the steps of bits n-1 .. j of the current X are
@@ -415,7 +405,7 @@ def _diamonds_hold(lay: _Layout) -> bool:
     violates, w, guard, hi = VIOLATES[ConditionId.ORDINARY], lay.w, lay.guard, lay.hi
     up = [(t := lay.packed & h) | t >> (w << j) for j, h in enumerate(hi)]
     fs = Lanes(lay.packed, guard)
-    for j in range(len(hi)):
+    for j in range(lay.n):
         for i in range(j):
             t = up[i] & hi[j]
             if violates(Lanes(up[i], guard), Lanes(up[j], guard), Lanes(t | t >> (w << j), guard), fs):
@@ -423,42 +413,52 @@ def _diamonds_hold(lay: _Layout) -> bool:
     return True
 
 
-def _live_rows(lay: _Layout, vals: Sequence[int], conds: Iterable[ConditionId]) -> dict[ConditionId, str]:
+def _live_rows(lay: _Layout, conds: Iterable[ConditionId]) -> dict[ConditionId, str]:
     """Per condition, a character per row X from X = 0 up: "1" if X may hold a violating Y, else "0".
 
-    For an incomparable Y, f(X∩Y) <= below and f(X∪Y) <= above, the maxima
-    of f over X's proper subsets and supersets, and f(Y) >= least, the least
-    value of a subset other than X.  A comparison-only predicate of
-    ``VIOLATES`` gains hits as vu and vi grow and as vy falls, save where it
-    needs vy == vx.  So X is live if the predicate holds at (f(X), least,
-    above, below), or at (f(X), f(X), above, below) when another subset
-    takes X's value.  Ordinary adds values, so its rows are all live if a
-    diamond fails, and none otherwise.
+    The layout's vals are the exact integers for Ordinary, and the dense
+    ranks 0..p-1 for the ordinal conditions.  For an incomparable Y,
+    f(X∩Y) <= below and f(X∪Y) <= above, the maxima of f over X's proper
+    subsets and supersets, and f(Y) >= least, the least rank of a subset
+    other than X: 0, or 1 on the lone subset of rank 0.  A comparison-only
+    predicate of ``VIOLATES`` gains hits as vu and vi grow and as vy falls,
+    save where it needs vy == vx.  So X is live if the predicate holds at
+    (f(X), least, above, below), or at (f(X), f(X), above, below) when
+    another subset takes X's rank.  Ordinary adds values, so its rows are
+    all live if a diamond fails, and none otherwise.
     """
     conds = set(conds)
     guard, w, bits = lay.guard, lay.w, {}
     if ConditionId.ORDINARY in conds:
         bits[ConditionId.ORDINARY] = 0 if _diamonds_hold(lay) else guard
     if ordinal := conds - {ConditionId.ORDINARY}:
-        fx = Lanes(lay.packed + lay.ones, guard)  # f + 1, as in the maxima
+        ranks, ones = lay.vals, lay.ones
+        fx = Lanes(lay.packed + ones, guard)  # f + 1, as in the maxima
         above, below = (Lanes(lay.proper_maxima(down), guard) for down in (False, True))
-        low = min(vals)
-        least = (low + 1) * lay.ones
-        if vals.count(low) == 1 < len(vals):  # on the unique minimum, the second-smallest value
-            x = vals.index(low)
-            least += (min(vals[:x] + vals[x + 1:]) - low) << (w * x)
+        counts, least = Counter(ranks), ones  # least + 1: rank 0, save on the lone subset of rank 0
+        if counts[0] == 1 < len(ranks):
+            least += 1 << (w * ranks.index(0))
         least, shared = Lanes(least, guard), None
         for cond in ordinal:
             violates = VIOLATES[cond]
             bits[cond] = violates(fx, least, above, below)
             if same := violates(fx, fx, above, below):
-                if shared is None:  # the rows whose value another subset takes
-                    counts = Counter(vals)
-                    lane = {v: ("1" if k > 1 else "0") + "0" * (w - 1) for v, k in counts.items()}
-                    shared = int("".join(map(lane.__getitem__, reversed(vals))), 2)
+                if shared is None:  # the rows whose rank another subset takes: all, if no rank is lone
+                    lane = {r: ("1" if k > 1 else "0") + "0" * (w - 1) for r, k in counts.items()}
+                    shared = int("".join(map(lane.__getitem__, reversed(ranks))), 2) if 1 in counts.values() else guard
                 bits[cond] |= same & shared
-    rows = {b: format(b, f"0{w * len(vals)}b")[-w::-w] for b in {bits[cond] for cond in conds}}
+    rows = {b: format(b, f"0{w << lay.n}b")[-w::-w] for b in {bits[cond] for cond in conds}}
     return {cond: rows[bits[cond]] for cond in conds}
+
+
+def _scan_setup(n: int, vals: Sequence[int], conds: Sequence[ConditionId]) -> tuple[_Layout, dict]:
+    """The layout of vals, and per condition of conds with a live row: its predicate, live rows and last live row."""
+    lay, todo = _Layout(n, vals), {}
+    live = _live_rows(lay, conds)
+    for cond in conds:
+        if (last := live[cond].rfind("1")) >= 0:
+            todo[cond] = VIOLATES[cond], live[cond], last
+    return lay, todo
 
 
 @record
@@ -532,19 +532,16 @@ def _first_witnesses(f: SetFunction, conds: Sequence[ConditionId]) -> dict[Condi
         scans.append((f.exact_ints, [ConditionId.ORDINARY]))
     hits = {}
     for vals, group in scans:
-        lay = _Layout(f.n, vals)
-        live = _live_rows(lay, vals, group)
-        last = {cond: rows.rfind("1") for cond, rows in live.items()}
-        todo = {cond: (VIOLATES[cond], live[cond]) for cond in group if last[cond] >= 0}
-        end = max(map(last.__getitem__, todo), default=-1)
-        if end < 0:
+        lay, todo = _scan_setup(f.n, vals, group)
+        if not todo:
             continue
-        for x, lanes in _rows(f.n, vals, lay):
-            for cond, (violates, rows) in tuple(todo.items()):
+        end = max(last for *_, last in todo.values())
+        for x, lanes in _rows(lay):
+            for cond, (violates, rows, _) in tuple(todo.items()):
                 if rows[x] == "1" and (bits := violates(*lanes)):  # the lowest hit is lane Y, guard bit (Y + 1)·w - 1
                     hits[cond] = x, (bits & -bits).bit_length() // lay.w - 1
                     del todo[cond]
-                    end = max(map(last.__getitem__, todo), default=-1)
+                    end = max((last for *_, last in todo.values()), default=-1)
             if x >= end:
                 break
     if ConditionId.INJECTIVE in conds:
@@ -562,7 +559,7 @@ def check_condition(f: SetFunction, cond: ConditionId) -> ConditionWitness | Non
     Accepts Q1..Q4, Qh and QuasiSubmodular.  The witness is lexicographically
     minimal by (X, Y).
     """
-    if cond not in PAIRWISE_CONDITIONS and cond is not ConditionId.QUASI:
+    if cond in (ConditionId.ORDINARY, ConditionId.INJECTIVE):
         raise ValueError(f"check_condition does not handle {cond}; see is_ordinary_submodular / is_injective")
     return _first_witnesses(f, (cond,)).get(cond)
 
@@ -575,13 +572,11 @@ def iter_witnesses(f: SetFunction, cond: ConditionId) -> Iterator[ConditionWitne
     if cond is ConditionId.INJECTIVE:
         raise ValueError("injectivity also concerns comparable pairs; see injective_witness")
     _require_numeric(f, cond)
-    vals = f.exact_ints if cond is ConditionId.ORDINARY else f.ranks
-    lay = _Layout(f.n, vals)
-    rows = _live_rows(lay, vals, (cond,))[cond]
-    end, violates = rows.rfind("1"), VIOLATES[cond]
-    if end < 0:
+    lay, todo = _scan_setup(f.n, f.exact_ints if cond is ConditionId.ORDINARY else f.ranks, (cond,))
+    if not todo:
         return
-    for x, lanes in _rows(f.n, vals, lay):
+    violates, rows, end = todo[cond]
+    for x, lanes in _rows(lay):
         if rows[x] == "1":
             bits = violates(*lanes)
             while bits:  # lane by lane from the lowest, lane Y's guard being bit (Y + 1)·w - 1

@@ -320,6 +320,10 @@ def parse_predicate(text: str) -> ClassPredicate:
             if take() != ")":
                 raise ValueError(f"unbalanced parentheses in predicate {_clip(source)}")
             return node
+        if t == "$":
+            raise ValueError(f"predicate {_clip(source)} ends where a condition belongs")
+        if t in ("&", "|", ")"):  # ! is taken by parse_not
+            raise ValueError(f"expected a condition, found {t!r}, in predicate {_clip(source)}")
         key = t.lower()
         if key not in _ALIASES:
             raise ValueError(f"unknown condition {_clip(t)}; expected one of Q1..Q4, Qh, QuasiSubmodular, "

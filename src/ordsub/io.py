@@ -76,16 +76,18 @@ def parse_set_function(obj: object) -> SetFunction:
             raise ValueError("values_dense: expected a list")
         if len(dense) != ground.size:
             raise ValueError(f"values_dense: expected {ground.size} entries, got {len(dense)}")
-        keys = []
-        for i, raw in enumerate(dense):
-            try:
-                keys.append(codomain.key_of(raw))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"values_dense[{i}]: {exc}") from None
-        return SetFunction(ground, codomain, tuple(keys))
+        try:  # the constructor coerces each value once; only a failure walks them again, to name it
+            return SetFunction(ground, codomain, tuple(dense))
+        except (TypeError, ValueError, RecursionError):  # the repr of a bad value nested deep may recurse too far
+            for i, raw in enumerate(dense):
+                try:
+                    codomain.key_of(raw)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"values_dense[{i}]: {exc}") from None
+            raise
     if not isinstance(sparse, dict):
         raise ValueError("values: expected an object keyed by comma-joined element names")
-    table: dict[int, object] = {}
+    table: dict[int, object] = {}  # coerced here, entry by entry, so that the file's first bad entry is named
     for key, raw in sparse.items():
         try:
             mask = ground.mask_of(key)
@@ -127,6 +129,8 @@ def load_set_function(path: str | Path) -> SetFunction:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nests too deeply") from None
+    except ValueError as exc:  # bytes that are not UTF-8, or a number past Python's digit limit, less its advice
+        raise ValueError(f"{path}: {str(exc).partition(';')[0]}") from None
     try:
         return parse_set_function(obj)
     except ValueError as exc:

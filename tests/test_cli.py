@@ -98,6 +98,15 @@ class TestClassify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err) < 400
 
+    def test_over_long_number_names_the_file(self, tmp_path):
+        # past Python's 4,300-digit limit: a load error of the file, without the advice on a Python API
+        p = tmp_path / "big.json"
+        p.write_text('{"ground_set": ["a"], "values_dense": [0, ' + "7" * 5000 + "]}")
+        code, out, err = run_cli("classify", str(p))
+        assert (code, out) == (2, "")
+        reason = "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits"
+        assert err == f"error: {p}: {reason}\n"
+
     @pytest.mark.parametrize("text", [DEEP, '{"ground_set": ["a"], "values_dense": [0, ' + DEEP + "]}"],
                              ids=["top-level", "in-values-dense"])
     def test_deeply_nested_json(self, tmp_path, text):

@@ -642,7 +642,7 @@ class TestKernelParity:
         cases += [modular_lowered(n, m) for k in range(n) for m in (1 << k, full ^ (1 << k))]
         for f in cases:
             for v in (f.ranks, f.exact_ints):
-                rows = list(_rows(n, v))
+                rows = list(_rows(_Layout(n, v)))
                 assert [x for x, _ in rows] == list(range(1 << n))
                 for x, lanes in rows:
                     assert len({lane.guard for lane in lanes}) == 1
@@ -731,19 +731,19 @@ def hit_rows(cond, vals, n):
 
 def assert_hit_rows_live(f):
     ranks = f.ranks
-    together = _live_rows(_Layout(f.n, ranks), ranks, ORDINAL_CHECKS)
+    together = _live_rows(_Layout(f.n, ranks), ORDINAL_CHECKS)
     for cond in ORDINAL_CHECKS + ([ConditionId.ORDINARY] if f.codomain.is_numeric else []):
         vals = f.exact_ints if cond is ConditionId.ORDINARY else ranks
-        rows = _live_rows(_Layout(f.n, vals), vals, (cond,))[cond]
+        rows = _live_rows(_Layout(f.n, vals), (cond,))[cond]
         assert len(rows) == f.size and set(rows) <= {"0", "1"}
         assert all(rows[x] == "1" for x in hit_rows(cond, vals, f.n)), (f.values, cond, rows)
         assert cond is ConditionId.ORDINARY or together[cond] == rows
 
 
-def row_scan_holds(n, vals, lay):
-    """Whether the Ordinary row scan over vals finds no hit."""
+def row_scan_holds(lay):
+    """Whether the Ordinary row scan over the layout's vals finds no hit."""
     violates = VIOLATES[ConditionId.ORDINARY]
-    return not any(violates(*lanes) for _, lanes in _rows(n, vals, lay))
+    return not any(violates(*lanes) for _, lanes in _rows(lay))
 
 
 class TestRowSkipping:
@@ -795,7 +795,7 @@ class TestRowSkipping:
         for vec in surjective_rank_vectors(8):
             lay = _Layout(3, vec)
             diamonds = _diamonds_hold(lay)
-            assert diamonds == row_scan_holds(3, vec, lay), vec
+            assert diamonds == row_scan_holds(lay), vec
             holds += diamonds
         assert holds == 30_417
 
@@ -817,7 +817,7 @@ class TestRowSkipping:
             vals = f.exact_ints
             lay = _Layout(n, vals)
             diamonds = _diamonds_hold(lay)
-            assert diamonds == row_scan_holds(n, vals, lay), f.values
+            assert diamonds == row_scan_holds(lay), f.values
             outcomes[diamonds] += 1
         assert outcomes[True] and outcomes[False]
 
@@ -836,7 +836,7 @@ class TestRowSkipping:
         # classify calls Qh only twice, in _live_rows, and never walks its rows
         for n in range(4, 11):
             g = random_function(n, OrderedCodomain("integer"), 1 << n, seed=n)
-            assert "1" not in _live_rows(_Layout(n, g.ranks), g.ranks, (ConditionId.QH,))[ConditionId.QH]
+            assert "1" not in _live_rows(_Layout(n, g.ranks), (ConditionId.QH,))[ConditionId.QH]
             calls.clear()
             assert classify(g).flags[ConditionId.QH]
             assert calls[ConditionId.QH] == 2

@@ -252,6 +252,15 @@ class TestPredicateParsing:
             with pytest.raises(ValueError) as err:
                 parse_predicate(text)
             assert str(err.value) == f"predicate syntax error at {rest}"
+        # a missing condition is reported as the predicate's end, or as the operator found in its place
+        for text in ("", "Q1 &", "!", "(", "Q1 & !"):
+            with pytest.raises(ValueError) as err:
+                parse_predicate(text)
+            assert str(err.value) == f"predicate {text!r} ends where a condition belongs"
+        for text, found in [("Q1 | | Q2", "|"), ("& Q1", "&"), ("(Q1 & )", ")"), ("()", ")")]:
+            with pytest.raises(ValueError) as err:
+                parse_predicate(text)
+            assert str(err.value) == f"expected a condition, found {found!r}, in predicate {text!r}"
 
     def test_nesting_bound(self):
         from ordsub.generators import MAX_PREDICATE_NESTING as k

@@ -73,6 +73,24 @@ class TestSetFunctionFormat:
         with pytest.raises(ValueError, match=r"values_dense\[2\]"):
             parse_set_function({"ground_set": ["a", "b"], "values_dense": [0, 1, 1.5, 2]})
 
+    @pytest.mark.parametrize("kind", ["integer", "rational", "labels"])
+    def test_dense_file_coerces_each_value_once(self, tmp_path, monkeypatch, kind):
+        # one key_of call per value, in the constructor; a bad value is still named by its index
+        codomain = OrderedCodomain(kind, ("lo", "mid", "hi") if kind == "labels" else ())
+        f = random_function(10, codomain, 3, seed=10)
+        obj = set_function_to_json(f)
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps(obj))
+        calls = []
+        key_of = OrderedCodomain.key_of
+        monkeypatch.setattr(OrderedCodomain, "key_of", lambda self, raw: calls.append(raw) or key_of(self, raw))
+        assert load_set_function(p).values == f.values
+        assert len(calls) == 1 << 10
+        obj["values_dense"][700:702] = [True, 1.5]
+        with pytest.raises(ValueError) as err:
+            parse_set_function(obj)
+        assert str(err.value) == "values_dense[700]: bool is not an ordinal value"
+
     def test_wrong_length(self):
         with pytest.raises(ValueError, match="expected 4 entries"):
             parse_set_function({"ground_set": ["a", "b"], "values_dense": [0, 1]})
