@@ -41,17 +41,16 @@ f(S+i+j) + f(S), which are equivalent to submodularity (Lovász 1983), so
 Ordinary's rows are scanned only when a diamond fails.  The walk stops after
 the last live row, and a strictly increasing f starts none.
 
-``_scan_setup`` is the one set-up of a row scan.  It builds ``_Layout``, the
-vector and its lanes, shared by the walk, the maxima, the diamonds and the
-live rows, and gives each condition with a live row its predicate, its live
-rows and its last live row.  Two loops walk from there: ``iter_witnesses``,
-and ``_first_witnesses``, which finds the first witness of every
-``ConditionId``: the ordinal conditions in one shared walk over the ranks,
-Ordinary (numeric codomains only) in a walk over the exact integers, and
-Injective with no scan, as the first mask whose rank comes again and the
-next mask of that rank.  ``classify``, ``check_condition``,
-``check_ordinary_submodular``, ``injective_witness`` and
-``minimize.certify_global_min`` all ask it.
+``_scans`` alone decides what a row scan reads: the ordinal conditions walk
+the ranks together, and Ordinary (numeric codomains only) the exact integers.
+Per group with a live row it builds ``_Layout``, the vector and its lanes,
+shared by the walk, the maxima, the diamonds and the live rows, and gives
+each live condition its predicate, its live rows and its last live row.  Two
+loops walk from there: ``iter_witnesses``, and ``_first_witnesses``, which
+finds the first witness of every ``ConditionId``, Injective with no scan, as
+the first mask whose rank comes again and the next mask of that rank.
+``classify``, ``check_condition``, ``check_ordinary_submodular``,
+``injective_witness`` and ``minimize.certify_global_min`` all ask it.
 
 For the exhaustive suites and witness search, at n <= ENUMERATION_CAP, the
 lanes run across functions instead (``lane_chunks``): blocks of enumerated
@@ -451,16 +450,6 @@ def _live_rows(lay: _Layout, conds: Iterable[ConditionId]) -> dict[ConditionId, 
     return {cond: rows[bits[cond]] for cond in conds}
 
 
-def _scan_setup(n: int, vals: Sequence[int], conds: Sequence[ConditionId]) -> tuple[_Layout, dict]:
-    """The layout of vals, and per condition of conds with a live row: its predicate, live rows and last live row."""
-    lay, todo = _Layout(n, vals), {}
-    live = _live_rows(lay, conds)
-    for cond in conds:
-        if (last := live[cond].rfind("1")) >= 0:
-            todo[cond] = VIOLATES[cond], live[cond], last
-    return lay, todo
-
-
 @record
 class ConditionWitness:
     """A pair (X, Y) whose four lattice values violate a condition.
@@ -510,6 +499,24 @@ def _require_numeric(f: SetFunction, cond: ConditionId) -> None:
         raise ValueError("ordinary submodularity needs a numeric codomain (integer or rational)")
 
 
+def _scans(f: SetFunction, conds: Sequence[ConditionId]) -> Iterator[tuple[_Layout, dict]]:
+    """Each group of conds with a live row: its layout, and per live condition its predicate, live rows and last one.
+
+    The ordinal conditions are one group, over ``f.ranks``, and Ordinary one
+    over ``f.exact_ints``, its codomain checked first; Injective is not scanned.
+    """
+    ordinal = [c for c in conds if c not in (ConditionId.ORDINARY, ConditionId.INJECTIVE)]
+    groups = [(f.ranks, ordinal)] if ordinal else []
+    if ConditionId.ORDINARY in conds:
+        _require_numeric(f, ConditionId.ORDINARY)
+        groups.append((f.exact_ints, [ConditionId.ORDINARY]))
+    for vals, group in groups:
+        lay = _Layout(f.n, vals)
+        live = _live_rows(lay, group)
+        if todo := {c: (VIOLATES[c], live[c], last) for c in group if (last := live[c].rfind("1")) >= 0}:
+            yield lay, todo
+
+
 def holds_at_pair(f: SetFunction, cond: ConditionId, x: int, y: int) -> bool:
     """Evaluate one condition at the single pair (X, Y); every condition, Injective too, holds at X = Y."""
     f.ground.check_mask(x)
@@ -521,20 +528,12 @@ def holds_at_pair(f: SetFunction, cond: ConditionId, x: int, y: int) -> bool:
 def _first_witnesses(f: SetFunction, conds: Sequence[ConditionId]) -> dict[ConditionId, ConditionWitness]:
     """The first witness of each failing condition in conds, in the order of conds.
 
-    The ordinal conditions share one row scan over the ranks, and Ordinary
-    scans the exact integers of a numeric codomain.  Injective's X is the
-    first mask whose rank comes again, and its Y the next mask of that rank.
+    Each scan of ``_scans`` stops after its last live condition's witness or
+    last live row.  Injective's X is the first mask whose rank comes again,
+    and its Y the next mask of that rank.
     """
-    ordinal = [c for c in conds if c not in (ConditionId.ORDINARY, ConditionId.INJECTIVE)]
-    scans = [(f.ranks, ordinal)] if ordinal else []
-    if ConditionId.ORDINARY in conds:
-        _require_numeric(f, ConditionId.ORDINARY)
-        scans.append((f.exact_ints, [ConditionId.ORDINARY]))
     hits = {}
-    for vals, group in scans:
-        lay, todo = _scan_setup(f.n, vals, group)
-        if not todo:
-            continue
+    for lay, todo in _scans(f, conds):
         end = max(last for *_, last in todo.values())
         for x, lanes in _rows(lay):
             for cond, (violates, rows, _) in tuple(todo.items()):
@@ -571,20 +570,17 @@ def iter_witnesses(f: SetFunction, cond: ConditionId) -> Iterator[ConditionWitne
     """
     if cond is ConditionId.INJECTIVE:
         raise ValueError("injectivity also concerns comparable pairs; see injective_witness")
-    _require_numeric(f, cond)
-    lay, todo = _scan_setup(f.n, f.exact_ints if cond is ConditionId.ORDINARY else f.ranks, (cond,))
-    if not todo:
-        return
-    violates, rows, end = todo[cond]
-    for x, lanes in _rows(lay):
-        if rows[x] == "1":
-            bits = violates(*lanes)
-            while bits:  # lane by lane from the lowest, lane Y's guard being bit (Y + 1)·w - 1
-                low = bits & -bits
-                yield _witness_at(f, cond, x, low.bit_length() // lay.w - 1)
-                bits ^= low
-        if x == end:
-            return
+    for lay, todo in _scans(f, (cond,)):
+        violates, rows, end = todo[cond]
+        for x, lanes in _rows(lay):
+            if rows[x] == "1":
+                bits = violates(*lanes)
+                while bits:  # lane by lane from the lowest, lane Y's guard being bit (Y + 1)·w - 1
+                    low = bits & -bits
+                    yield _witness_at(f, cond, x, low.bit_length() // lay.w - 1)
+                    bits ^= low
+            if x == end:
+                return
 
 
 def check_ordinary_submodular(f: SetFunction) -> ConditionWitness | None:

@@ -37,8 +37,16 @@ def _exact_ints(values: Sequence[RawKey]) -> list[int]:
 
 
 def _clip(value: object, limit: int = 60) -> str:
-    """repr(value) for an error message, cut to limit characters and an ellipsis."""
-    text = repr(value)
+    """repr(value) for an error message, cut to limit characters and an ellipsis.
+
+    A value nested too deep for repr is shown by ``reprlib``, which cuts its depth.
+    """
+    try:
+        text = repr(value)
+    except RecursionError:
+        import reprlib
+
+        text = reprlib.repr(value)
     return text if len(text) <= limit else text[:limit] + "..."
 
 

@@ -78,7 +78,7 @@ def parse_set_function(obj: object) -> SetFunction:
             raise ValueError(f"values_dense: expected {ground.size} entries, got {len(dense)}")
         try:  # the constructor coerces each value once; only a failure walks them again, to name it
             return SetFunction(ground, codomain, tuple(dense))
-        except (TypeError, ValueError, RecursionError):  # the repr of a bad value nested deep may recurse too far
+        except (TypeError, ValueError):
             for i, raw in enumerate(dense):
                 try:
                     codomain.key_of(raw)

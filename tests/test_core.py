@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from ordsub import (
     random_function,
 )
 from ordsub import core
-from ordsub.core import _exact_ints, submasks
+from ordsub.core import _clip, _exact_ints, submasks
 
 from conftest import codomain_variants, intfn
 
@@ -128,6 +129,28 @@ class TestOrderedCodomain:
         with pytest.raises(ValueError):
             cod.key_of(7)
 
+    def test_wrong_kind_of_value(self):
+        with pytest.raises(TypeError, match="^integer codomain expects int, got str$"):
+            INTEGERS.key_of("1")
+        with pytest.raises(TypeError, match="^labels codomain expects a label string, got list$"):
+            OrderedCodomain("labels", ("lo", "hi")).key_of(["lo"])
+
+    def test_ordinal_value_keeps_its_codomain(self):
+        assert RATIONALS.key_of(RATIONALS.value([1, 2])) == Fraction(1, 2)
+        with pytest.raises(ValueError, match="^value belongs to a different codomain$"):
+            INTEGERS.key_of(RATIONALS.value(1))
+
+    def test_deeply_nested_value_is_cut_short(self):
+        # repr recurses once per level; the message must not
+        deep = []
+        for _ in range(3 * sys.getrecursionlimit()):
+            deep = [deep]
+        assert len(_clip(deep)) < 200
+        for call, error in ((lambda: RATIONALS.key_of(deep), TypeError), (lambda: GroundSet((deep,)), ValueError)):
+            with pytest.raises(error) as exc:
+                call()
+            assert len(str(exc.value)) < 200
+
     def test_display(self):
         assert OrderedCodomain("rational").display(Fraction(1, 2)) == "1/2"
         assert OrderedCodomain("rational").display(Fraction(3)) == "3"
@@ -148,6 +171,10 @@ class TestOrdinalValue:
             a < b  # noqa: B015
         with pytest.raises(ValueError):
             a == b  # noqa: B015
+
+    def test_comparison_with_a_non_value_is_error(self):
+        with pytest.raises(TypeError, match="^cannot compare OrdinalValue with int$"):
+            INTEGERS.value(1) < 2  # noqa: B015
 
     def test_label_order_follows_position(self):
         cod = OrderedCodomain("labels", ("low", "mid", "high"))
@@ -322,6 +349,10 @@ class TestRestrict:
 
 
 class TestIntervalSublattice:
+    def test_negative_bounds_rejected(self):
+        with pytest.raises(ValueError, match="^interval bounds must be nonnegative masks$"):
+            IntervalSublattice(-1, 3)
+
     # every interval at n <= 4
     @pytest.mark.parametrize("lo, hi", [(lo, hi) for hi in range(16) for lo in range(16) if lo & hi == lo])
     def test_members_ascending(self, lo, hi):

@@ -15,6 +15,8 @@ from ordsub import (
     set_function_to_json,
 )
 
+from conftest import run_cli
+
 
 def roundtrip(f, form):
     return parse_set_function(set_function_to_json(f, form=form))
@@ -159,6 +161,26 @@ class TestSetFunctionFormat:
         for form in ("dense", "sparse"):
             g = parse_set_function(json.loads(json.dumps(set_function_to_json(f, form=form))))
             assert g == f
+
+
+class TestInputChecks:
+    # one file per check of the file format: each exits 2 with its one-line message
+    @pytest.mark.parametrize("obj, message", [
+        ({"ground_set": ["a"], "codomain": {"kind": "labels", "label_order": [1, 2]}, "values_dense": [0, 1]},
+         "codomain.label_order: expected a list of strings"),
+        ([0, 1], "set function file: expected a JSON object at the top level"),
+        ({"values_dense": [0, 1]}, "set function file: missing 'ground_set'"),
+        ({"ground_set": ["a"], "values_dense": {"": 0, "a": 1}}, "values_dense: expected a list"),
+        ({"ground_set": ["a"], "values": [0, 1]}, "values: expected an object keyed by comma-joined element names"),
+    ], ids=["label-order", "top-level", "no-ground-set", "dense-not-list", "sparse-not-object"])
+    def test_bad_file_exits_2(self, tmp_path, obj, message):
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps(obj))
+        assert run_cli("classify", str(p)) == (2, "", f"error: {p}: {message}\n")
+
+    def test_bad_form_raises(self, f_r3):
+        with pytest.raises(ValueError, match="^form must be 'dense' or 'sparse', got 'csv'$"):
+            set_function_to_json(f_r3, form="csv")
 
 
 class TestChainFormat:
