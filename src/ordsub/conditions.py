@@ -57,9 +57,11 @@ lanes run across functions instead (``lane_chunks``): blocks of enumerated
 rank vectors come as columns, one byte string per subset, and a chunk
 becomes one int per subset, read from its column with an 8-bit lane per
 function, so each predicate call answers at one pair for every function of
-the chunk.  The chunk's columns share one table of their comparisons, so a
-comparison that several predicates, pairs or the complement dual repeat is
-made once.
+the chunk.  These ints are ``_Column``, the one subclass of ``Lanes``: they
+share one table of their comparisons, so a comparison that several
+predicates, pairs or the complement dual repeat is made once, while the
+plain Lanes of rows, bounds and sums compare directly.  On both, Python
+answers ``<`` and ``>=`` as ``>`` and ``<=`` with the operands swapped.
 """
 
 from __future__ import annotations
@@ -141,51 +143,24 @@ LANE_MAX = 63
 class Lanes:
     """Values packed into lanes of one int, with the guard bit of every lane in ``guard``.
 
-    The lanes hold a chunk of functions at one subset (8 bits each, guard
-    bit 7) or one function at every Y (as wide as its largest value needs,
-    guard bit on top).  ``a <= b`` is computed as ((b | guard) - a) & guard:
-    a lane of b - a borrows from its guard bit exactly when a > b.  The
-    other comparisons derive from it.  The columns of a chunk carry the
-    ``table`` they share, keyed by their ``index`` pair (the first one
-    inverted for ``>``, which ``<`` asks in mirror), and make each
-    comparison once; other Lanes carry none.
+    The lanes hold one function at every Y (as wide as its largest value
+    needs, guard bit on top) or, as ``_Column``, a chunk of functions at one
+    subset (8 bits each, guard bit 7).  ``a <= b`` is computed as
+    ((b | guard) - a) & guard: a lane of b - a borrows from its guard bit
+    exactly when a > b.  ``>`` is its complement, and Python answers
+    ``a < b`` as ``b > a`` and ``a >= b`` as ``b <= a``.
     """
 
-    __slots__ = ("bits", "guard", "table", "index")
+    __slots__ = ("bits", "guard")
 
-    def __init__(self, bits: int, guard: int, table: dict | None = None, index: int = -1) -> None:
-        self.bits = bits
-        self.guard = guard
-        self.table = table
-        self.index = index
+    def __init__(self, bits: int, guard: int) -> None:
+        self.bits, self.guard = bits, guard
 
     def __le__(self, other: Lanes) -> int:
-        table = self.table
-        if table is None or other.table is not table:
-            return ((other.bits | self.guard) - self.bits) & self.guard
-        key = self.index, other.index
-        try:
-            return table[key]
-        except KeyError:
-            out = table[key] = ((other.bits | self.guard) - self.bits) & self.guard
-            return out
-
-    def __ge__(self, other: Lanes) -> int:
-        return other <= self
-
-    def __lt__(self, other: Lanes) -> int:
-        return other > self
+        return ((other.bits | self.guard) - self.bits) & self.guard
 
     def __gt__(self, other: Lanes) -> int:
-        table = self.table
-        if table is None or other.table is not table:
-            return self.guard ^ (self <= other)
-        key = ~self.index, other.index
-        try:
-            return table[key]
-        except KeyError:
-            out = table[key] = self.guard ^ (self <= other)
-            return out
+        return self.guard ^ (self <= other)
 
     def __eq__(self, other: Lanes) -> int:  # type: ignore[override]
         return (self <= other) & (other <= self)
@@ -194,17 +169,43 @@ class Lanes:
         return Lanes(self.bits + other.bits, self.guard)
 
 
+class _Column(Lanes):
+    """A chunk's Lanes at one subset, compared only with the chunk's other columns.
+
+    ``table`` is the chunk's, keyed by the two columns' ``index`` pair (the
+    first one inverted for ``>``); it stores what ``Lanes`` computes.
+    """
+
+    __slots__ = ("table", "index")
+
+    def __init__(self, bits: int, guard: int, table: dict, index: int) -> None:
+        super().__init__(bits, guard)
+        self.table, self.index = table, index
+
+    def __le__(self, other: _Column) -> int:
+        key = self.index, other.index
+        if (out := self.table.get(key)) is None:
+            out = self.table[key] = Lanes.__le__(self, other)
+        return out
+
+    def __gt__(self, other: _Column) -> int:
+        key = ~self.index, other.index
+        if (out := self.table.get(key)) is None:
+            out = self.table[key] = Lanes.__gt__(self, other)
+        return out
+
+
 @record
 class LaneChunk:
     """Rank vectors on the subsets of n elements, bit-sliced.
 
-    ``cols`` holds one Lanes per subset, lane k holding function k.  ``full``
+    ``cols`` holds one _Column per subset, lane k holding function k.  ``full``
     is the set of all the chunk's functions: the guard bit of every lane.
     Bitsets of functions are subsets of it, in enumeration order from the
     lowest bit up.
     """
 
-    cols: Sequence[Lanes]
+    cols: Sequence[_Column]
     n: int
     full: int
 
@@ -257,7 +258,7 @@ def _slice(cols: Sequence[bytes], n: int) -> LaneChunk:
         bits = int.from_bytes(col, "little")
         if bits & high:
             raise _block_error(len(cols))
-        lanes.append(Lanes(bits, full, table, s))
+        lanes.append(_Column(bits, full, table, s))
     return LaneChunk(lanes, n, full)
 
 

@@ -93,23 +93,21 @@ def qh_from_chain(ground: GroundSet, chain: LevelChain) -> SetFunction:
     are guaranteed to induce one.  On acceptance, ``family_chain`` of the
     result reproduces the input chain.
     """
-    fams = [tuple(sorted(set(fam))) for fam in chain.families]
+    sets = [set(fam) for fam in chain.families]
+    fams = [tuple(sorted(fam)) for fam in sets]
     if not fams or fams[0] != ():
         raise ChainError("chain must start with the empty family")
-    full = tuple(range(ground.size))
-    if fams[-1] != full:
+    if fams[-1] != tuple(range(ground.size)):
         raise ChainError("chain must end with the full power set")
+    values = [0] * ground.size
     for i, fam in enumerate(fams):
         for m in fam:
             ground.check_mask(m)
         if i > 0:
-            prev = set(fams[i - 1])
-            if not prev < set(fam):
+            if not sets[i - 1] < sets[i]:
                 raise ChainError(f"families must nest strictly; level {i} does not extend level {i - 1}")
-    values = [0] * ground.size
-    for i in range(1, len(fams)):
-        for m in set(fams[i]) - set(fams[i - 1]):
-            values[m] = i
+            for m in sets[i] - sets[i - 1]:
+                values[m] = i
     f = SetFunction(ground, INTEGERS, tuple(values))
     w = check_qh(f)
     if w is not None:

@@ -35,7 +35,6 @@ HYPOTHESES = {
     "Q2": (ConditionId.Q2,),
     "Q4+injective": (ConditionId.INJECTIVE, ConditionId.Q4),
 }
-HYPOTHESIS_TAGS = tuple(HYPOTHESES)
 
 
 class HypothesisError(ValueError):
@@ -202,8 +201,8 @@ def certify_global_min(
     is recorded as asserted and the certificate marked unverified.
     """
     f.ground.check_mask(x)
-    if assume is not None and assume not in HYPOTHESIS_TAGS:
-        raise ValueError(f"unknown hypothesis {assume!r}; expected one of {HYPOTHESIS_TAGS}")
+    if assume is not None and assume not in HYPOTHESES:
+        raise ValueError(f"unknown hypothesis {assume!r}; expected one of {tuple(HYPOTHESES)}")
     hypothesis = None
     if not is_interval_local_min(f, x):
         reason = "not minimal over its lower/upper intervals"

@@ -8,6 +8,7 @@ or across a chunk of functions; they must agree everywhere.
 
 import hashlib
 import json
+import operator
 import os
 import random
 import resource
@@ -630,6 +631,34 @@ class TestKernelParity:
                 ConditionId.ORDINARY: ((1, top), ConditionId.ORDINARY),
             }
 
+    @pytest.mark.parametrize("w", [2, 3, 8, 11, 64, 70])
+    def test_plain_lanes_match_python_ints(self, w):
+        # every operator of a row's Lanes against Python ints, lane by lane,
+        # at both ends of the values below the guard bit (of half of them for
+        # a sum); Python answers < and >= by reflecting > and <=
+        def ends(top):
+            return sorted({v for v in (0, 1, top - 1, top) if 0 <= v <= top})
+
+        def pack(rows):
+            """One Lanes per position of the rows, lane k holding row k."""
+            guard = sum(1 << (k * w + w - 1) for k in range(len(rows)))
+            return [conditions.Lanes(sum(v << (k * w) for k, v in enumerate(col)), guard) for col in zip(*rows)]
+
+        def hits(bits, count):
+            return [bool(bits >> (k * w + w - 1) & 1) for k in range(count)]
+
+        top, rng = (1 << (w - 1)) - 1, random.Random(w)
+        pairs = list(product(ends(top), repeat=2)) + [(rng.randint(0, top), rng.randint(0, top)) for _ in range(20)]
+        a, b = pack(pairs)
+        for op in (operator.le, operator.gt, operator.eq, operator.lt, operator.ge):
+            assert hits(op(a, b), len(pairs)) == [op(x, y) for x, y in pairs], op
+        quads = list(product(ends(top >> 1), repeat=4))
+        vx, vy, vu, vi = pack(quads)
+        assert hits(vx + vy < vu + vi, len(quads)) == [x + y < u + i for x, y, u, i in quads]
+        assert type(vx + vy) is conditions.Lanes and not hasattr(vx, "table")
+        assert conditions.Lanes.__slots__ == ("bits", "guard")
+        assert not {"__lt__", "__ge__"} & set(vars(conditions.Lanes))
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_rows_yield_every_rows_lanes(self, n):
         # decode each lane Y of the four Lanes of each row x, guard bit
@@ -747,6 +776,31 @@ def row_scan_holds(lay):
 
 
 class TestRowSkipping:
+    def test_scan_plans_group_the_conditions(self, monkeypatch):
+        # the ordinal conditions scan the ranks together and Ordinary the
+        # exact integers; Injective reaches neither _live_rows nor a plan, and
+        # a labels codomain is refused before any layout is built
+        f = random_function(4, distinct_values=3, seed=1)
+        groups, live_rows = [], conditions._live_rows
+
+        def recorded(lay, conds):
+            groups.append(list(conds))
+            return live_rows(lay, conds)
+
+        monkeypatch.setattr(conditions, "_live_rows", recorded)
+        plans = [(lay.vals, list(todo)) for lay, todo in conditions._scans(f, list(ConditionId))]
+        assert groups == [ORDINAL_CHECKS, [ConditionId.ORDINARY]]
+        assert [todo for _, todo in plans] == groups
+        assert plans[0][0] is f.ranks and plans[1][0] is f.exact_ints
+
+        def no_layout(*args):
+            raise AssertionError("a layout was built")
+
+        monkeypatch.setattr(conditions, "_Layout", no_layout)
+        g = random_function(4, OrderedCodomain("labels", ("lo", "mid", "hi")), 3, seed=1)
+        with pytest.raises(ValueError, match="numeric codomain"):
+            list(conditions._scans(g, list(ConditionId)))
+
     def test_live_row_rule_rests_on_monotone_predicates(self):
         # _live_rows evaluates each ordinal predicate at (vx, least, above,
         # below), and at (vx, vx, above, below) on rows whose value is shared:

@@ -188,8 +188,9 @@ class TestCertify:
         cert = certify_global_min(f_r3, 1, assume="Q1")
         assert cert.is_global and not cert.verified
         assert cert.reason == "hypothesis asserted, unverified"
-        with pytest.raises(ValueError, match="unknown hypothesis"):
+        with pytest.raises(ValueError) as err:
             certify_global_min(f_r3, 1, assume="Q9")
+        assert str(err.value) == "unknown hypothesis 'Q9'; expected one of ('Q1', 'Q2', 'Q4+injective')"
 
     def test_local_but_no_hypothesis(self):
         # quasisubmodular fails, Q4 fails or injectivity fails: [1,0,0,1]
