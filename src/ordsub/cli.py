@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
 from .conditions import ConditionId, classify
-from .core import OrderedCodomain, SetFunction, _clip
+from .core import OrderedCodomain, RawKey, SetFunction, _clip
 from .generators import (
     cut_function,
     modular_plus_concave,
@@ -164,17 +163,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _emit(args, "verify", {"suite": args.suite, "n": args.n}, result.to_json(), status, human)
 
 
-def _parse_weight(text: str) -> int | Fraction:
+def _parse_weight(text: str) -> RawKey:
     text = text.strip()
     if "/" in text:
         num, den = (int(part) for part in text.split("/", 1))
         if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
+        from fractions import Fraction
+
         return Fraction(num, den)
     return int(text)
 
 
-def _parse_edges(text: str) -> list[tuple[int, int, int | Fraction]]:
+def _parse_weights(text: str, flag: str) -> list[RawKey]:
+    """The comma-joined weights of flag; a bad entry is named, with its cause."""
+    weights = []
+    for entry in text.split(",") if text else ():
+        try:
+            weights.append(_parse_weight(entry))
+        except ValueError as exc:
+            cause = str(exc).partition("; use sys.")[0]  # Python's advice on over-long ints, as io drops it
+            raise ValueError(f"bad {flag} entry {_clip(entry)} ({_cut(cause, 90)})") from None
+    return weights
+
+
+def _parse_edges(text: str) -> list[tuple[int, int, RawKey]]:
     edges = []
     if not text:
         return edges
@@ -205,8 +218,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if args.value:
             f = SetFunction(f.ground, f.codomain, tuple(args.value for _ in range(f.size)))
     elif args.kind == "modular":
-        weights = [_parse_weight(w) for w in args.weights.split(",")] if args.weights else []
-        concave = [_parse_weight(v) for v in args.concave.split(",")] if args.concave else []
+        weights = _parse_weights(args.weights, "--weights")
+        concave = _parse_weights(args.concave, "--concave")
         f = modular_plus_concave(args.n, weights, concave)
     else:  # random
         if args.codomain == "labels":
@@ -240,10 +253,8 @@ class _Parser(argparse.ArgumentParser):
         super().error(_cut(message))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
-
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of every subcommand's name and help, and of the arguments of command alone."""
     parser = _Parser(
         prog="ordsub",
         description="Classify, minimize and verify ordinally submodular set functions.",
@@ -251,67 +262,69 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("classify", parents=[report], help="report which conditions a function satisfies")
-    p.add_argument("input", help="set-function JSON file")
-    p.add_argument("--witness", action="store_true", help="include violation witnesses")
-    p.set_defaults(func=cmd_classify)
+    def add(name: str, func, summary: str, report: bool = True) -> argparse.ArgumentParser | None:
+        p = sub.add_parser(name, help=summary)
+        if name != command:
+            return None
+        if report:
+            p.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("minimize", parents=[report], help="global argmin, by scan or interval descent")
-    p.add_argument("input")
-    p.add_argument("--mode", choices=("brute", "descent"), default="brute")
-    p.add_argument("--start", default="", metavar="SUBSET",
-                   help="descent start, comma-joined element names ('' is the empty set)")
-    p.set_defaults(func=cmd_minimize)
+    if p := add("classify", cmd_classify, "report which conditions a function satisfies"):
+        p.add_argument("input", help="set-function JSON file")
+        p.add_argument("--witness", action="store_true", help="include violation witnesses")
 
-    p = sub.add_parser("certify", parents=[report], help="certify a point as a global minimizer")
-    p.add_argument("input")
-    p.add_argument("--point", required=True, metavar="SUBSET")
-    p.set_defaults(func=cmd_certify)
+    if p := add("minimize", cmd_minimize, "global argmin, by scan or interval descent"):
+        p.add_argument("input")
+        p.add_argument("--mode", choices=("brute", "descent"), default="brute")
+        p.add_argument("--start", default="", metavar="SUBSET",
+                       help="descent start, comma-joined element names ('' is the empty set)")
 
-    p = sub.add_parser("hierarchy", parents=[report], help="level values, nested families, Qh verdict")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_hierarchy)
+    if p := add("certify", cmd_certify, "certify a point as a global minimizer"):
+        p.add_argument("input")
+        p.add_argument("--point", required=True, metavar="SUBSET")
 
-    p = sub.add_parser("constrained", parents=[report],
-                       help="minimize an objective over {X : constraint(X) > k-th level}")
-    p.add_argument("objective")
-    p.add_argument("constraint")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_constrained)
+    if p := add("hierarchy", cmd_hierarchy, "level values, nested families, Qh verdict"):
+        p.add_argument("input")
 
-    p = sub.add_parser("verify", parents=[report], help="run an exhaustive verification suite")
-    p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_verify)
+    if p := add("constrained", cmd_constrained, "minimize an objective over {X : constraint(X) > k-th level}"):
+        p.add_argument("objective")
+        p.add_argument("constraint")
+        p.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("generate", help="emit a structured or random function")
-    p.add_argument("kind", choices=("cut", "const", "modular", "random"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--edges", default="", help="cut edges, e.g. 0-1:1,1-2:1/2")
-    p.add_argument("--value", type=int, default=0, help="constant value for 'const'")
-    p.add_argument("--weights", default="", help="modular weights, e.g. 1,0")
-    p.add_argument("--concave", default="", help="concave sequence g(0)..g(n), e.g. 0,1,1")
-    p.add_argument("--distinct", type=int, default=2, help="distinct values for 'random'")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--codomain", choices=("integer", "rational", "labels"), default="integer")
-    p.add_argument("--labels", default="", help="comma-joined label order for --codomain labels")
-    p.add_argument("-o", "--output", default=None, help="write the function file here instead of stdout")
-    p.add_argument("--form", choices=("dense", "sparse"), default="dense")
-    p.set_defaults(func=cmd_generate)
+    if p := add("verify", cmd_verify, "run an exhaustive verification suite"):
+        p.add_argument("--suite", required=True, choices=SUITE_NAMES)
+        p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("search", help="find a function matching a class predicate")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--predicate", required=True, help="e.g. 'Q4 & !Q3' or 'Qh & !(Q1 & Q2)'")
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--form", choices=("dense", "sparse"), default="dense")
-    p.set_defaults(func=cmd_search)
+    if p := add("generate", cmd_generate, "emit a structured or random function", report=False):
+        p.add_argument("kind", choices=("cut", "const", "modular", "random"))
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--edges", default="", help="cut edges, e.g. 0-1:1,1-2:1/2")
+        p.add_argument("--value", type=int, default=0, help="constant value for 'const'")
+        p.add_argument("--weights", default="", help="modular weights, e.g. 1,0")
+        p.add_argument("--concave", default="", help="concave sequence g(0)..g(n), e.g. 0,1,1")
+        p.add_argument("--distinct", type=int, default=2, help="distinct values for 'random'")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--codomain", choices=("integer", "rational", "labels"), default="integer")
+        p.add_argument("--labels", default="", help="comma-joined label order for --codomain labels")
+        p.add_argument("-o", "--output", default=None, help="write the function file here instead of stdout")
+        p.add_argument("--form", choices=("dense", "sparse"), default="dense")
+
+    if p := add("search", cmd_search, "find a function matching a class predicate", report=False):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--predicate", required=True, help="e.g. 'Q4 & !Q3' or 'Qh & !(Q1 & Q2)'")
+        p.add_argument("-o", "--output", default=None)
+        p.add_argument("--form", choices=("dense", "sparse"), default="dense")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # No top-level option takes a value, so argparse dispatches on the first token not
+    # starting with '-' (or fails on an earlier '-' or '-1', as an invalid choice).
+    args = build_parser(next((a for a in argv if not a.startswith("-")), "")).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, IndexError, OSError) as exc:

@@ -13,13 +13,19 @@ comparison, and ties must be reproducible.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MAX_GROUND_SIZE = 20
 
-RawKey = Union[int, Fraction]
+RawKey = Union[int, "Fraction"]
+
+# fractions.Fraction, bound by the first rational key.  Importing fractions
+# loads decimal and numbers too, which integer and label work never needs.
+_Fraction = None
 
 _DEFAULT_NAMES = "abcdefghijklmnopqrst"
 
@@ -254,9 +260,12 @@ class OrderedCodomain:
                 raise TypeError(f"integer codomain expects int, got {type(raw).__name__}")
             return raw
         if self.kind == "rational":
+            global _Fraction
+            if _Fraction is None:
+                from fractions import Fraction as _Fraction
             if isinstance(raw, int):
-                return Fraction(raw)
-            if isinstance(raw, Fraction):
+                return _Fraction(raw)
+            if isinstance(raw, _Fraction):
                 return raw
             if isinstance(raw, (tuple, list)) and len(raw) == 2:
                 num, den = raw
@@ -264,7 +273,7 @@ class OrderedCodomain:
                         and not isinstance(num, bool) and not isinstance(den, bool)):
                     if den == 0:
                         raise ValueError("rational denominator must be nonzero")
-                    return Fraction(num, den)
+                    return _Fraction(num, den)
             raise TypeError(f"rational codomain expects int, Fraction or [num, den], got {_clip(raw)}")
         # labels; ints are accepted as positions in label_order
         if isinstance(raw, int):
@@ -284,7 +293,7 @@ class OrderedCodomain:
     def display(self, key: RawKey) -> str:
         if self.kind == "labels":
             return self.label_order[key]
-        if isinstance(key, Fraction) and key.denominator != 1:
+        if self.kind == "rational" and key.denominator != 1:
             return f"{key.numerator}/{key.denominator}"
         return str(int(key))
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -100,7 +99,12 @@ def enumerate_linear_orders(n: int) -> Iterator[SetFunction]:
 
 
 def _weight_key(w: object, what: str) -> RawKey:
-    if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+    """w, checked to be an int or a Fraction; only a weight that is not an int imports fractions."""
+    if isinstance(w, int) and not isinstance(w, bool):
+        return w
+    from fractions import Fraction
+
+    if not isinstance(w, Fraction):
         raise TypeError(f"{what} must be ints or Fractions, got {w!r}")
     return w
 
@@ -120,7 +124,7 @@ def cut_function(n: int, edges: Iterable[tuple[int, int, object]]) -> SetFunctio
         if not w > 0:
             raise ValueError(f"edge weights must be positive, got {w}")
         edge_list.append((1 << i, 1 << j, w))
-    codomain = RATIONALS if any(isinstance(w, Fraction) for _, _, w in edge_list) else INTEGERS
+    codomain = INTEGERS if all(isinstance(w, int) for _, _, w in edge_list) else RATIONALS
     values = [sum(w for bi, bj, w in edge_list if bool(mask & bi) != bool(mask & bj))
               for mask in range(ground.size)]
     return SetFunction(ground, codomain, tuple(values))
@@ -142,7 +146,7 @@ def modular_plus_concave(n: int, weights: Sequence[object], concave: Sequence[ob
     for k in range(n - 1):
         if g[k + 2] - g[k + 1] > g[k + 1] - g[k]:
             raise ValueError(f"sequence is not concave at position {k}: second difference is positive")
-    codomain = RATIONALS if any(isinstance(v, Fraction) for v in ws + g) else INTEGERS
+    codomain = INTEGERS if all(isinstance(v, int) for v in ws + g) else RATIONALS
     values = [sum(w for i, w in enumerate(ws) if mask >> i & 1) + g[bin(mask).count("1")]
               for mask in range(ground.size)]
     return SetFunction(ground, codomain, tuple(values))
@@ -169,6 +173,8 @@ def random_function(
     if codomain.kind == "integer":
         pool: list[object] = list(range(d))
     elif codomain.kind == "rational":
+        from fractions import Fraction
+
         pool = [Fraction(i, d) for i in range(d)]
     else:
         if len(codomain.label_order) < d:
@@ -198,10 +204,11 @@ _ALIASES = {
     "injective": ConditionId.INJECTIVE,
 }
 
-_TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|[&|!()])")
+# Compiled, and cached by re, on the first parse: only search parses a predicate.
+_TOKEN_RE = r"\s*([A-Za-z][A-Za-z0-9]*|[&|!()])"
 # The first character no token can hold: one outside the token alphabet, or
 # a digit that would start a name.
-_BAD_CHAR_RE = re.compile(r"[^\sA-Za-z0-9&|!()]|(?<![A-Za-z0-9])[0-9]")
+_BAD_CHAR_RE = r"[^\sA-Za-z0-9&|!()]|(?<![A-Za-z0-9])[0-9]"
 
 # Bound on nested ! and parentheses, which the parser recurses through, and
 # on the height of the parsed tree, which evaluation recurses through, so
@@ -254,10 +261,10 @@ def parse_predicate(text: str) -> ClassPredicate:
     source = text
     text = text.replace("∧", "&").replace("∨", "|").replace("¬", "!").replace("~", "!")
     text = text.replace("&&", "&").replace("||", "|")
-    bad = _BAD_CHAR_RE.search(text)
+    bad = re.search(_BAD_CHAR_RE, text)
     if bad:  # echo from the end of the last whole token, blanks before the bad character included
         raise ValueError(f"predicate syntax error at {_clip(text[len(text[:bad.start()].rstrip()):])}")
-    tokens = _TOKEN_RE.findall(text) + ["$"]
+    tokens = re.findall(_TOKEN_RE, text) + ["$"]
     idx = 0
     depth = 0
 

@@ -375,7 +375,21 @@ class TestGenerateAndSearch:
     def test_zero_denominator_modular_weight(self):
         code, out, err = run_cli("generate", "modular", "--n", "2", "--weights", "1/0,1", "--concave", "0,0,0")
         assert (code, out) == (2, "")
-        assert err == "error: zero denominator in '1/0'\n"
+        assert err == "error: bad --weights entry '1/0' (zero denominator in '1/0')\n"
+
+    @pytest.mark.parametrize("weights, concave, line", [
+        ("1,x", "0,1,1", "bad --weights entry 'x' (invalid literal for int() with base 10: 'x')"),
+        ("1,2", "0,1,x", "bad --concave entry 'x' (invalid literal for int() with base 10: 'x')"),
+        ("1,2", "0,1,x;y", "bad --concave entry 'x;y' (invalid literal for int() with base 10: 'x;y')"),
+        ("1," + "9" * 5000, "0,1,1", "bad --weights entry '" + "9" * 59 + "... (Exceeds the limit (4300 digits) "
+                                     "for integer string conversion: value has 5000 digits)"),
+        ("1,2", "0,1," + "x" * 5000, "bad --concave entry '" + "x" * 59 + "... (invalid literal for int() with "
+                                     "base 10: '" + "x" * 49 + "...)"),
+    ], ids=["weights-word", "concave-word", "concave-semicolon", "weights-long-int", "concave-long-word"])
+    def test_bad_weight_names_its_flag_and_entry(self, weights, concave, line):
+        code, out, err = run_cli("generate", "modular", "--n", "2", "--weights", weights, "--concave", concave)
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+        assert len(err) < 300
 
     @pytest.mark.parametrize("predicate", ["!" * 5000 + "Q1", "(" * 3000 + "Q1" + ")" * 3000])
     def test_deeply_nested_predicate(self, predicate):
@@ -406,6 +420,40 @@ class TestGenerateAndSearch:
         # a chain of & is built as a balanced tree, so it evaluates without deep recursion
         code, out, _ = run_cli("search", "--n", "2", "--predicate", " & ".join(["Q4"] * 3000) + " & !Q3")
         assert code == 0 and out
+
+
+class TestParserText:
+    # sha256 of stdout and stderr together, and the exit code, at COLUMNS=80;
+    # pinned while every subcommand's arguments were built in every process,
+    # and unchanged now that only the invoked one's are
+    PINNED = {
+            "-h": (0, "17188853da52f0af1665a90f9e01eaea15a86d066c1825d51e122d544d6539aa"),
+            "classify -h": (0, "874ba65b7cab10e563da0b931322ab5df62ac80c817e1cfca2eb054b11619e35"),
+            "minimize -h": (0, "7cb4d0221c4e3273cb27ee83deabfdf30b2ec520504d81c201688d831f53293b"),
+            "certify -h": (0, "9219a412e32f9ddaa8fff042110efc5021ca264c124360d7e623ea79d61fa41d"),
+            "hierarchy -h": (0, "7674c9398caff4f7c9d4dd0c7a7e2c4dc0df589cd537eb0c73a6c06e193aa5ab"),
+            "constrained -h": (0, "f8331dc024b6ed89ee2b567032feeec769baaf09d3ef255f66491d53fd82e08b"),
+            "verify -h": (0, "63ad5681975b833cea2fb17a016383884ed1c100fc6c80bead7965ec65152f82"),
+            "generate -h": (0, "be9e02e53c862887ce801fa0f9de38f6351403e3dba2cd179761393423efbb9e"),
+            "search -h": (0, "d7697d756379da4a2bd8886bf71cd285c1d723be141dfdcd708a12e486dfef55"),
+            "": (2, "62d5335585740cf9df9e8b31e11c86da14d4d41133703f0114bb28fd2517b130"),
+            "bogus": (2, "bd91008e300391539856cab18579e9da8cdb4bc4a018c89bf5056bf65d06e989"),
+            "classify": (2, "5d9ac146690f1ba5d12b03313fd98feb7ca7f2f47497ec39ff0557ea7e66c8c5"),
+    }
+    COMMANDS = ("classify", "minimize", "certify", "hierarchy", "constrained", "verify", "generate", "search")
+
+    def test_help_and_usage_errors_are_pinned(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        runs = {"-h": ["-h"], **{f"{c} -h": [c, "-h"] for c in self.COMMANDS},
+                "": [], "bogus": ["bogus"], "classify": ["classify"]}
+        got = {}
+        for name, argv in runs.items():
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert not (out.getvalue() and err.getvalue()), argv
+            got[name] = (exc.value.code, hashlib.sha256((out.getvalue() + err.getvalue()).encode()).hexdigest())
+        assert got == self.PINNED
 
 
 class TestDeterminismAcrossThreads:

@@ -1121,3 +1121,35 @@ class TestKernelFootprint:
         # inspect and, through it, ast, dis and tokenize at every start
         heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
         assert self._imported_by_every_subcommand(tmp_path, heavy) == "[]"
+
+    def test_only_a_rational_loads_fractions(self, tmp_path):
+        # fractions loads decimal and numbers too; an integer classify needs
+        # none of them, and neither does importing the CLI or --version
+        heavy = ["fractions", "decimal", "numbers", "dataclasses", "inspect", "ast"]
+        files = {}
+        for kind, f in [("int", random_function(4, distinct_values=3, seed=2)),
+                        ("rational", random_function(4, OrderedCodomain("rational"), 3, seed=2))]:
+            files[kind] = tmp_path / f"{kind}.json"
+            files[kind].write_text(json.dumps(set_function_to_json(f)))
+        code = (
+            "import contextlib, io, sys\n"
+            "def loaded():\n"
+            f"    return [m for m in {heavy!r} if m in sys.modules]\n"
+            "import ordsub.cli as cli\n"
+            "print(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        cli.main(['--version'])\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "print(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = cli.main(['classify', '--json', {str(files['int'])!r}])\n"
+            "print(status, loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            f"    status = cli.main(['classify', {str(files['rational'])!r}])\n"
+            "print(status, 'Q4' in out.getvalue(), 'fractions' in sys.modules)\n"
+        )
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "[]", "0 []", "0 True True"]
