@@ -8,7 +8,9 @@ input errors.  ``--json`` switches stdout to a stable JSON report.
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -175,6 +177,11 @@ def _parse_weight(text: str) -> RawKey:
     return int(text)
 
 
+def _cause(exc: Exception) -> str:
+    """Why an entry of --weights, --concave or --edges is bad, cut short; as in io, without Python's advice."""
+    return _cut(str(exc).partition("; use sys.")[0], 90)
+
+
 def _parse_weights(text: str, flag: str) -> list[RawKey]:
     """The comma-joined weights of flag; a bad entry is named, with its cause."""
     weights = []
@@ -182,8 +189,7 @@ def _parse_weights(text: str, flag: str) -> list[RawKey]:
         try:
             weights.append(_parse_weight(entry))
         except ValueError as exc:
-            cause = str(exc).partition("; use sys.")[0]  # Python's advice on over-long ints, as io drops it
-            raise ValueError(f"bad {flag} entry {_clip(entry)} ({_cut(cause, 90)})") from None
+            raise ValueError(f"bad {flag} entry {_clip(entry)} ({_cause(exc)})") from None
     return weights
 
 
@@ -198,7 +204,7 @@ def _parse_edges(text: str) -> list[tuple[int, int, RawKey]]:
             i, j = endpoints.split("-")
             edges.append((int(i), int(j), _parse_weight(weight)))
         except (ValueError, TypeError) as exc:
-            raise ValueError(f"bad edge {_clip(part)} ({_cut(str(exc), 60)}); expected i-j:w (e.g. 0-1:1)") from None
+            raise ValueError(f"bad edge {_clip(part)} ({_cause(exc)}); expected i-j:w (e.g. 0-1:1)") from None
     return edges
 
 
@@ -333,7 +339,27 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run main on sys.argv and end the process with its status, skipping the interpreter's teardown.
+
+    atexit callbacks still run, and stdout and stderr are flushed; then
+    ``os._exit`` ends the process.  A failed flush (a closed pipe) or a set
+    trace or profile function (cProfile, coverage, pdb at a breakpoint) takes the ordinary
+    ``sys.exit`` instead, with its own exit-time output and status.
+    """
+    try:
+        status = main()
+    except SystemExit as exc:  # argparse's --version, --help and usage errors
+        status = exc.code
+    if sys.gettrace() or sys.getprofile():
+        sys.exit(status)
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(status)
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,17 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ordsub import (
-    OrderedCodomain, SetFunction, argmin, modular_plus_concave, parse_set_function, random_function,
+    __version__, OrderedCodomain, SetFunction, argmin, modular_plus_concave, parse_set_function, random_function,
     set_function_to_json,
 )
 from ordsub.cli import main
@@ -367,6 +371,13 @@ class TestGenerateAndSearch:
         assert "bad edge '0-1:1/0'" in err and "zero denominator in '1/0'" in err
         assert err.count("\n") == 1
 
+    def test_over_long_edge_weight_shows_its_whole_cause(self):
+        # the cause as --weights gives it: Python's advice dropped, the digit counts kept
+        code, out, err = run_cli("generate", "cut", "--n", "2", "--edges", "0-1:" + "9" * 5000)
+        assert (code, out) == (2, "")
+        assert err == ("error: bad edge '0-1:" + "9" * 55 + "... (Exceeds the limit (4300 digits) for integer "
+                       "string conversion: value has 5000 digits); expected i-j:w (e.g. 0-1:1)\n")
+
     def test_labels_codomain_needs_labels(self):
         code, out, err = run_cli("generate", "random", "--n", "1", "--distinct", "1", "--codomain", "labels")
         assert (code, out) == (2, "")
@@ -632,3 +643,148 @@ class TestFuzzedArgv:
             lines = err.getvalue().splitlines()
             assert [line for line in lines if "error: " in line] == lines[-1:], argv
             assert lines[-1].startswith("ordsub") or lines == lines[-1:] and len(lines[-1]) < 400, argv
+
+
+def _in_process(argv):
+    """(exit code, stdout, stderr) of main in this process, with argparse's SystemExit as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _child_env():
+    # block-buffered stdout, as a shell gives a pipe: the case where the exit's flush can fail
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"), COLUMNS="80")
+
+
+def _python(*args, **kwargs):
+    """Run the interpreter on args with this checkout's ordsub; stdout and stderr as bytes."""
+    kwargs.setdefault("capture_output", True)
+    return subprocess.run([sys.executable, *args], env=_child_env(), timeout=120, **kwargs)
+
+
+class TestProcessExit:
+    """`python -m ordsub` through cli.entry, which ends the process with os._exit after flushing."""
+
+    RUNS = {
+        "version": (["--version"], 0),
+        "help": (["--help"], 0),
+        "no-command": ([], 2),
+        "bogus-command": (["bogus"], 2),
+        "missing-argument": (["classify"], 2),
+        "classify": (["classify", "--json", "--witness", "R3"], 0),
+        "classify-missing-file": (["classify", "MISSING"], 2),
+        "minimize": (["minimize", "--mode", "descent", "--start", "a,b", "R3"], 0),
+        "certify-global": (["certify", "R3", "--json", "--point", "a"], 0),
+        "certify-not-global": (["certify", "R3", "--point", "b"], 1),
+        "hierarchy": (["hierarchy", "CARD"], 0),
+        "constrained": (["constrained", "CARD", "CARD", "--k", "1"], 0),
+        "verify": (["verify", "--suite", "lemma1", "--n", "2", "--json"], 0),
+        "generate": (["generate", "cut", "--n", "3", "--edges", "0-1:2,1-2:1/2"], 0),
+        "generate-bad-edges": (["generate", "cut", "--n", "2", "--edges", "0:1:2"], 2),
+        "search-found": (["search", "--n", "2", "--predicate", "Q4&!Q3"], 0),
+        "search-finds-nothing": (["search", "--n", "1", "--predicate", "!Q4"], 1),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_exit_code_and_output_match_main(self, monkeypatch, r3_file, card_file, name):
+        argv, status = self.RUNS[name]
+        argv = [{"R3": r3_file, "CARD": card_file, "MISSING": r3_file + ".missing"}.get(a, a) for a in argv]
+        monkeypatch.setenv("COLUMNS", "80")
+        proc = _python("-m", "ordsub", *argv)
+        assert proc.returncode == status, proc.stderr
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == _in_process(argv)
+
+    def test_large_reports_match_main(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(set_function_to_json(n10_functions()["modular10"])))
+        rand = tmp_path / "r.json"
+        rand.write_text(json.dumps(set_function_to_json(random_function(10, distinct_values=16, seed=3))))
+        for argv, size in [(["hierarchy", "--json", str(path)], 645_000),
+                           (["classify", "--json", "--witness", str(rand)], 1_000)]:
+            proc = _python("-m", "ordsub", *argv)
+            code, out, err = _in_process(argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+            assert len(proc.stdout) > size
+
+    def test_generate_writes_the_whole_file(self, tmp_path):
+        argv = ["generate", "random", "--n", "12", "--distinct", "50", "--seed", "4", "--form", "sparse"]
+        proc = _python("-m", "ordsub", *argv, "-o", str(tmp_path / "f.json"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        code, out, _ = _in_process(argv)
+        assert code == 0 and len(out) > 90_000
+        assert (tmp_path / "f.json").read_text() == out
+
+    FINALIZED = (
+        "import os, sys\n"
+        "class Noisy:\n"
+        "    def __del__(self, write=os.write):  # bound now: teardown may clear os first\n"
+        "        write(2, b'finalized\\n')\n"
+        "noisy = Noisy()\n"
+        "sys.argv = ['ordsub', '--version']\n"
+    )
+
+    def test_teardown_is_skipped(self):
+        # a finalizer that the interpreter's teardown would run: not on the ordinary path
+        proc = _python("-c", self.FINALIZED + "from ordsub.cli import entry\nentry()\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"ordsub {__version__}\n".encode(), b"")
+
+    def test_a_profile_function_keeps_the_teardown(self):
+        code = self.FINALIZED + "sys.setprofile(lambda *args: None)\nfrom ordsub.cli import entry\nentry()\n"
+        proc = _python("-c", code)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"ordsub {__version__}\n".encode(), b"finalized\n")
+
+    def test_cprofile_prints_its_stats(self):
+        proc = _python("-m", "cProfile", "-m", "ordsub", "--version")
+        out = proc.stdout.decode()
+        assert proc.returncode == 0, proc.stderr
+        assert out.startswith(f"ordsub {__version__}\n") and "function calls" in out and "ncalls" in out
+
+    @pytest.mark.parametrize("argv, status", [(["--version"], 0), (["search", "--n", "1", "--predicate", "!Q4"], 1)])
+    def test_atexit_callbacks_still_run(self, argv, status):
+        code = (
+            "import atexit, sys\n"
+            "atexit.register(print, 'atexit ran')\n"
+            f"sys.argv = ['ordsub', *{argv!r}]\n"
+            "from ordsub.cli import entry\n"
+            "entry()\n"
+        )
+        proc = _python("-c", code)
+        assert proc.returncode == status, proc.stderr
+        assert proc.stdout.decode().endswith("atexit ran\n")
+
+    def test_reader_closing_after_one_byte(self, tmp_path):
+        # the write fails inside main, which reports it and returns 2; the exit's flush then succeeds
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(set_function_to_json(n10_functions()["modular10"])))
+        proc = subprocess.Popen([sys.executable, "-m", "ordsub", "hierarchy", "--json", str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (2, b"error: [Errno 32] Broken pipe\n")
+
+    def test_closed_stdout(self):
+        # no stdout at all: sys.stdout is None, and argparse writes the version to stderr
+        proc = _python("-m", "ordsub", "--version", preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (0, f"ordsub {__version__}\n".encode())
+
+    def test_failed_flush_keeps_the_interpreter_exit(self):
+        # --version's line waits in stdout's buffer for a reader that has gone: the exit's flush
+        # fails, and the interpreter's own exit reports it with status 120, as it always has
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = _python("-m", "ordsub", "--version", stdout=w, stderr=subprocess.PIPE, capture_output=False)
+        finally:
+            os.close(w)
+        err = proc.stderr.decode()
+        assert proc.returncode == 120, err
+        assert err.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert err.endswith("\nBrokenPipeError: [Errno 32] Broken pipe\n") and err.count("\n") == 2

@@ -769,6 +769,27 @@ def assert_hit_rows_live(f):
         assert cond is ConditionId.ORDINARY or together[cond] == rows
 
 
+def reference_live_rows(n, ranks):
+    """Per ordinal condition, the rows that _live_rows' docstring calls live, one row X at a time.
+
+    below and above are 1 + the maximum rank over X's proper subsets and
+    supersets, 0 if none; least is 1 + the least rank of a subset other than
+    X; X is live if the predicate holds at (f(X) + 1, least, above, below),
+    or at (f(X) + 1, f(X) + 1, above, below) when another subset has X's rank.
+    """
+    size = 1 << n
+    bounds = []
+    for x in range(size):
+        below = 1 + max((ranks[s] for s in range(size) if s & x == s != x), default=-1)
+        above = 1 + max((ranks[s] for s in range(size) if s & x == x != s), default=-1)
+        others = ranks[:x] + ranks[x + 1:]
+        bounds.append((ranks[x] + 1, 1 + min(others, default=0), above, below, ranks[x] in others))
+    return {cond: "".join("1" if VIOLATES[cond](vx, least, above, below)
+                          or shared and VIOLATES[cond](vx, vx, above, below) else "0"
+                          for vx, least, above, below, shared in bounds)
+            for cond in ORDINAL_CHECKS}
+
+
 def row_scan_holds(lay):
     """Whether the Ordinary row scan over the layout's vals finds no hit."""
     violates = VIOLATES[ConditionId.ORDINARY]
@@ -800,6 +821,29 @@ class TestRowSkipping:
         g = random_function(4, OrderedCodomain("labels", ("lo", "mid", "hi")), 3, seed=1)
         with pytest.raises(ValueError, match="numeric codomain"):
             list(conditions._scans(g, list(ConditionId)))
+
+    @staticmethod
+    def assert_live_rows_are_the_rule(n, ranks):
+        want = reference_live_rows(n, ranks)
+        lay = _Layout(n, ranks)
+        assert _live_rows(lay, ORDINAL_CHECKS) == want, ranks
+        for cond in ORDINAL_CHECKS:
+            assert _live_rows(lay, (cond,)) == {cond: want[cond]}, (ranks, cond)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_live_rows_are_the_rule_on_every_weak_order(self, n):
+        for vec in surjective_rank_vectors(1 << n):  # ranks from 1
+            self.assert_live_rows_are_the_rule(n, [r - 1 for r in vec])
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_live_rows_are_the_rule_on_seeded_rank_vectors(self, n):
+        # few values and many, a lone minimum, and the strictly increasing modular function
+        rng, size = random.Random(70 + n), 1 << n
+        cases = [[rng.randrange(d) for _ in range(size)] for d in (2, 3, 5, size // 2, size) for _ in range(4)]
+        cases += [[0] + [rng.randrange(1, 4) for _ in range(size - 1)] for _ in range(3)]
+        cases.append(list(modular_plus_concave(n, list(range(1, n + 1)), [0] * (n + 1)).values))
+        for vals in cases:
+            self.assert_live_rows_are_the_rule(n, intfn(vals).ranks)
 
     def test_live_row_rule_rests_on_monotone_predicates(self):
         # _live_rows evaluates each ordinal predicate at (vx, least, above,
