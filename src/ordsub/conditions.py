@@ -54,13 +54,13 @@ the first mask whose rank comes again and the next mask of that rank.
 
 For the exhaustive suites and witness search, at n <= ENUMERATION_CAP, the
 lanes run across functions instead (``lane_chunks``): blocks of enumerated
-rank vectors come as columns, one byte string per subset, and a chunk
-becomes one int per subset, read from its column with an 8-bit lane per
-function, so each predicate call answers at one pair for every function of
-the chunk.  These ints are ``_Column``, the one subclass of ``Lanes``: they
-share one table of their comparisons, so a comparison that several
-predicates, pairs or the complement dual repeat is made once, while the
-plain Lanes of rows, bounds and sums compare directly.  On both, Python
+rank vectors come as columns, one byte string per subset, and each block
+becomes one chunk, one int per subset, read from its column with an 8-bit
+lane per function, so each predicate call answers at one pair for every
+function of the chunk.  These ints are ``_Column``, the one subclass of
+``Lanes``: they share one table of their comparisons, so a comparison that
+several predicates, pairs or the complement dual repeat is made once, while
+the plain Lanes of rows, bounds and sums compare directly.  On both, Python
 answers ``<`` and ``>=`` as ``>`` and ``<=`` with the operands swapped.
 """
 
@@ -134,8 +134,8 @@ def _ordered_pair_table(n: int) -> tuple[Pair, ...]:
 # each lane, so a predicate returns the bitset of lanes that violate it.  A
 # value, or the sum of two, stays below the guard bit.
 
-# lane_chunks: the most functions per chunk, and the largest value an 8-bit
-# lane takes, so that a sum of two stays below the guard bit 7
+# vector_columns: the vectors per block, and so per chunk; and the largest
+# value an 8-bit lane takes, so that a sum of two stays below the guard bit 7
 CHUNK = 4096
 LANE_MAX = 63
 
@@ -244,32 +244,14 @@ class LaneChunk:
         return LaneChunk([self.cols[full ^ m] for m in range(full + 1)], self.n, self.full)
 
 
-def _block_error(size: int) -> ValueError:
-    return ValueError(f"bit-sliced blocks need {size} byte columns of equal length, with values in 0..{LANE_MAX}")
-
-
-def _slice(cols: Sequence[bytes], n: int) -> LaneChunk:
-    """The chunk of the vectors in cols, one column per subset: lane k of Lanes s is byte k of column s."""
-    full = int.from_bytes(b"\x80" * len(cols[0]), "little")
-    high = full | full >> 1  # bits 6 and 7 of every lane, clear in a value up to LANE_MAX
-    table: dict = {}
-    lanes = []
-    for s, col in enumerate(cols):
-        bits = int.from_bytes(col, "little")
-        if bits & high:
-            raise _block_error(len(cols))
-        lanes.append(_Column(bits, full, table, s))
-    return LaneChunk(lanes, n, full)
-
-
 def vector_columns(vectors: Iterable[Sequence[int]], m: int) -> Iterator[tuple[bytes, ...]]:
-    """Vectors of m ints as blocks of columns for ``lane_chunks``, 256 vectors a block.
+    """Vectors of m ints as blocks of columns for ``lane_chunks``, CHUNK vectors a block.
 
-    A block that small keeps few vectors alive at once.  Raises ValueError
-    for a vector of another length or a value outside 0..LANE_MAX.
+    Raises ValueError for a vector of another length or a value outside
+    0..LANE_MAX.
     """
     it = iter(vectors)
-    while batch := list(islice(it, 256)):
+    while batch := list(islice(it, CHUNK)):
         try:
             cols = tuple(map(bytes, zip(*batch, strict=True)))
         except (TypeError, ValueError):
@@ -280,33 +262,28 @@ def vector_columns(vectors: Iterable[Sequence[int]], m: int) -> Iterator[tuple[b
 
 
 def lane_chunks(blocks: Iterable[Sequence[bytes]], n: int) -> Iterator[LaneChunk]:
-    """Bit-slice blocks of rank vectors on the 2**n subsets, in order, a chunk at a time.
+    """Bit-slice blocks of rank vectors on the 2**n subsets: one chunk per nonempty block, in order.
 
-    Each block holds 2**n columns of equal length, column s holding byte s
-    of each of its vectors, as ``generators.weak_order_columns`` and
-    ``vector_columns`` give them.  The first chunk holds 64 functions and
-    each next one twice as many, up to CHUNK, so a scan that stops early
-    pays for little.  Raises ValueError for a block of another shape or a
-    value outside 0..LANE_MAX.
+    Each block holds 2**n byte strings of equal length, column s holding
+    byte s of each of its vectors, as ``generators.weak_order_columns`` and
+    ``vector_columns`` give them; lane k of the chunk's column s holds byte
+    k of the block's column s.  Raises ValueError for a block of another
+    shape or a value outside 0..LANE_MAX.
     """
     size = 1 << n
-    width = 64
-    bufs = [bytearray() for _ in range(size)]
+    error = f"bit-sliced blocks need {size} byte columns of equal length, with values in 0..{LANE_MAX}"
     for block in blocks:
-        try:  # a column that is not bytes has no len, or cannot be appended
-            if len(block) != size or len(set(map(len, block))) != 1:
-                raise ValueError
-            for buf, col in zip(bufs, block):
-                buf += col
-        except (TypeError, ValueError):
-            raise _block_error(size) from None
-        while len(bufs[0]) >= width:
-            yield _slice([buf[:width] for buf in bufs], n)
-            for buf in bufs:
-                del buf[:width]
-            width = min(2 * width, CHUNK)
-    if bufs[0]:
-        yield _slice(bufs, n)
+        if len(block) != size or not all(isinstance(col, bytes) for col in block) or len(set(map(len, block))) != 1:
+            raise ValueError(error)
+        if not block[0]:
+            continue
+        full = int.from_bytes(b"\x80" * len(block[0]), "little")
+        high = full | full >> 1  # bits 6 and 7 of every lane, clear in a value up to LANE_MAX
+        cols = [int.from_bytes(col, "little") for col in block]
+        if any(bits & high for bits in cols):
+            raise ValueError(error)
+        table: dict = {}
+        yield LaneChunk([_Column(bits, full, table, s) for s, bits in enumerate(cols)], n, full)
 
 
 class _Layout:

@@ -8,13 +8,13 @@ linear-order case.  The counts are the ordered set partition numbers
 (3, 75, 545835 for m = 2, 4, 8) and m! respectively.
 
 The surjective vectors come as blocks of columns (``weak_order_columns``),
-ready for ``conditions.lane_chunks``: one block per head, the first m - 5
-values, holding the head completed by each of its tails of five, column j
-holding the j-th value of every vector of the block.  The tails that
-complete a head depend only on its largest rank and the ranks it skips
-below that, so a memoized table (``_tails``) builds each set of tails once,
-as columns, and a block is the head's columns, one repeated byte each,
-followed by those: no object is made per vector.
+ready for ``conditions.lane_chunks``, which makes each block one chunk: one
+block per head, the first m - 6 values, holding the head completed by each
+of its tails of six, column j holding the j-th value of every vector of the
+block.  The tails that complete a head depend only on its largest rank and
+the ranks it skips below that, so a memoized table (``_tails``) builds each
+set of tails once, as columns, and a block is the head's columns, one
+repeated byte each, followed by those: no object is made per vector.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ from .conditions import ENUMERATION_CAP, ConditionId, lane_chunks
 from .core import INTEGERS, RATIONALS, GroundSet, OrderedCodomain, RawKey, SetFunction, _clip, default_elements, record
 
 
-# The length of the memoized tails.  At m = 8 the tails of five take about
-# 0.6 MB of columns, and the 468 blocks there hold about 1,170 vectors each.
-_TAIL = 5
+# The length of the memoized tails, which sets the size of the blocks and so
+# of the chunks.  At m = 8 the tails of six take about 2.4 MB of columns, and
+# the 63 blocks there hold 720 to 18,731 vectors each.
+_TAIL = 6
 
 
 @lru_cache(maxsize=None)
@@ -348,9 +349,9 @@ def search_witness(n: int, predicate: ClassPredicate | str) -> SetFunction | Non
 
     Functions are scanned in enumeration (lexicographic rank vector) order,
     a chunk at a time with every flag the predicate names as a bitset, and
-    the first match wins.  The chunks start small and double, so that an
-    early match stops early.  None means the whole stream was exhausted
-    without a match.
+    the first match wins.  Each chunk is one enumerator block, and the scan
+    stops at the first block that holds a match.  None means the whole
+    stream was exhausted without a match.
     """
     _check_cap(n)
     if isinstance(predicate, str):

@@ -467,10 +467,10 @@ class TestParserText:
         assert got == self.PINNED
 
 
-class TestDeterminismAcrossThreads:
+class TestPinnedReportDigests:
     def test_outputs_bit_identical(self, monkeypatch, tmp_path):
-        # SHA-256 prefixes of each output, pinned from the numpy block scan
-        # that the row scan replaced; the n = 6 function fails in rows 1 and 4
+        # exit status and SHA-256 prefix of stdout for each report command,
+        # pinned; the n = 6 function fails in rows 1 and 4
         monkeypatch.chdir(tmp_path)
         f = random_function(6, distinct_values=4, seed=5)
         (tmp_path / "f6.json").write_text(json.dumps(set_function_to_json(f)))

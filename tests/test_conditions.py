@@ -1014,7 +1014,7 @@ class TestLaneChunks:
 
     def test_predicates_across_the_lane_range(self):
         # values at both ends of 0..LANE_MAX, where a sum comes closest to the guard bit;
-        # 5,000 functions fill chunks of every size from 64 to 2048 and part of the next
+        # 5,000 functions fill a chunk of 4,096 and part of the next
         rng = random.Random(7)
         ends = (0, 1, LANE_MAX - 1, LANE_MAX)
         vectors = [tuple(rng.choice(ends) if rng.random() < 0.7 else rng.randrange(LANE_MAX + 1) for _ in range(4))
@@ -1027,66 +1027,85 @@ class TestLaneChunks:
     def test_first_function_of_a_bitset(self):
         vectors = list(islice(surjective_rank_vectors(8), 5000))
         chunks = list(lane_chunks(vector_columns(vectors, 8), 3))
-        assert [c.count for c in chunks] == [64, 128, 256, 512, 1024, 2048, 968]
+        assert [c.count for c in chunks] == [4096, 904]
         c = chunks[-1]
-        assert c.vector(c.full) == vectors[4032]
-        assert c.vector(c.full & -(1 << lane_bit(967))) == vectors[-1]
+        assert c.vector(c.full) == vectors[4096]
+        assert c.vector(c.full & -(1 << lane_bit(903))) == vectors[-1]
 
-    # the first 3 blocks of the n = 3 stream: 5,376 functions.  The chunks grow
-    # from 64, so the first block (1,082 functions) holds the cuts after 64,
-    # 192, 448 and 960, and its end falls inside the chunk from 960 to 1,984,
-    # as the 2nd block's end (3,245) falls inside the chunk from 1,984 to 4,032
-    BLOCKS = list(islice(weak_order_columns(8), 3))
+    # the first 2 blocks of the n = 3 stream, a chunk each: 28,097 functions.
+    # The same vectors through vector_columns are cut every 4,096 instead
+    BLOCKS = list(islice(weak_order_columns(8), 2))
     VECTORS = [v for b in BLOCKS for v in zip(*b)]
     ENDS = list(accumulate(len(b[0]) for b in BLOCKS))
 
     @staticmethod
-    def sliced(chunks):
-        return [(c.n, c.full, [lane.bits for lane in c.cols]) for c in chunks]
+    def joined(chunks):
+        """A stream's lanes laid end to end, one int per subset, whatever its chunks."""
+        full, cols, shift = 0, [0] * 8, 0
+        for c in chunks:
+            full |= c.full << shift
+            cols = [a | lane.bits << shift for a, lane in zip(cols, c.cols)]
+            shift += 8 * c.count
+        return full, cols
 
     def test_blocks_slice_as_their_tuples(self):
-        assert self.ENDS == [1082, 3245, 5376] and len(self.VECTORS) == 5376
+        assert self.ENDS == [9366, 28097] and len(self.VECTORS) == 28097
         chunks = list(lane_chunks(self.BLOCKS, 3))
-        assert [c.count for c in chunks] == [64, 128, 256, 512, 1024, 2048, 1344]
-        assert self.sliced(chunks) == self.sliced(lane_chunks(vector_columns(self.VECTORS, 8), 3))
+        assert [c.count for c in chunks] == [9366, 18731]
+        assert self.joined(chunks) == self.joined(lane_chunks(vector_columns(self.VECTORS, 8), 3))
         assert [v for c in chunks for v in chunk_vectors(c)] == self.VECTORS
 
     def test_vector_and_dual_at_block_and_chunk_boundaries(self):
-        starts = [0] + self.ENDS[:-1]
-        offset = 0
+        # the edges of each block's chunk, and the cuts of the vector stream inside it
         complements = [tuple(v[7 ^ m] for m in range(8)) for v in self.VECTORS]
-        duals = lane_chunks(vector_columns(complements, 8), 3)
-        for c, want in zip(lane_chunks(self.BLOCKS, 3), duals):
+        chunks = list(lane_chunks(self.BLOCKS, 3))
+        offset = 0
+        for c in chunks:
             d = c.dual()
-            edges = {0, c.count - 1} | {
-                k - offset + e for k in starts for e in (-1, 0) if 0 <= k - offset + e < c.count
-            }
-            for k in sorted(edges):
+            cuts = {0, c.count} | {k - offset for k in range(0, len(self.VECTORS), 4096) if 0 < k - offset < c.count}
+            for k in sorted({k + e for k in cuts for e in (-1, 0)} & set(range(c.count))):
                 lane = 1 << lane_bit(k)
                 assert c.vector(lane) == self.VECTORS[offset + k], k
                 assert d.vector(lane) == complements[offset + k], k
-            assert want.count == c.count
-            assert [lane.bits for lane in d.cols] == [lane.bits for lane in want.cols] and d.full == want.full
             offset += c.count
         assert offset == len(self.VECTORS)
+        assert self.joined(c.dual() for c in chunks) == self.joined(lane_chunks(vector_columns(complements, 8), 3))
 
     GOOD = (b"\x00", b"\x01", b"\x02", b"\x03")
-
-    # vectors go in through vector_columns, blocks of columns as they are
-    @pytest.mark.parametrize("bad", [
+    BAD_VECTORS = [
         (0, 0, 0, LANE_MAX + 1), (0, 0, 0, 256), (0, 0, 0, -1), (0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, Fraction(1, 2)),
         (0,) * 8, (0, 0, 0, "a"),
+    ]
+    BAD_BLOCKS = [
         GOOD[:3], GOOD + (b"\x00",),
         (b"\x00", b"\x00", b"\x00", b"\x00\x00"), (b"\x00\x00", b"\x00", b"\x00", b"\x00"),
         (b"\x00", b"\x00", b"\x00", (0,)), (b"\x00", b"\x00", b"\x00", "a"), (b"\x00", b"\x00", b"\x00", 0),
         (b"\x00", b"\x00", b"\x00", bytes((LANE_MAX + 1,))), (b"\x00", b"\x00", b"\x00", bytes((127,))),
         (b"\x00", b"\x00", b"\x00", bytes((128,))), (b"\x00", b"\x00", b"\x00", bytes((255,))),
         (b"\x00\x00", b"\x00\x00", b"\x00\x00", bytes((0, 255))),
-    ])
+    ]
+
+    # vectors go in through vector_columns, blocks of columns as they are
+    @pytest.mark.parametrize("bad", BAD_VECTORS + BAD_BLOCKS)
     def test_rejects_values_outside_the_lanes(self, bad):
         blocks = [self.GOOD, bad] if isinstance(bad[0], bytes) else vector_columns([(0, 1, 2, 3), bad], 4)
         with pytest.raises(ValueError, match="0..63"):
             list(lane_chunks(blocks, 2))
+
+    def test_one_chunk_per_block(self):
+        # blocks of 3, 0, 5,000 and 1 vectors, the third longer than a chunk of vector_columns
+        rng = random.Random(5)
+        groups = [[tuple(rng.randrange(LANE_MAX + 1) for _ in range(4)) for _ in range(k)] for k in (3, 0, 5000, 1)]
+        blocks = [tuple(map(bytes, zip(*g))) if g else (b"",) * 4 for g in groups]
+        assert [chunk_vectors(c) for c in lane_chunks(blocks, 2)] == [g for g in groups if g]
+        assert list(lane_chunks([(b"",) * 4], 2)) == []
+
+    @pytest.mark.parametrize("bad", BAD_BLOCKS)
+    def test_a_bad_block_is_refused_after_the_chunks_before_it(self, bad):
+        chunks = lane_chunks([self.GOOD, (b"",) * 4, bad, self.GOOD], 2)
+        assert chunk_vectors(next(chunks)) == [(0, 1, 2, 3)]
+        with pytest.raises(ValueError, match="0..63"):
+            next(chunks)
 
     def test_each_comparison_is_made_once_per_chunk(self):
         c = next(lane_chunks(weak_order_columns(8), 3))

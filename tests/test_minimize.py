@@ -75,7 +75,7 @@ class TestIntervalMinimality:
         # on a chunk's lanes, minimal_over answers bit k for function k
         vectors = [f.values for f in enumerate_weak_orders(2)]
         chunks = list(lane_chunks(vector_columns(vectors, 4), 2))
-        assert len(chunks) == 2  # 75 functions: chunks of 64 and 11
+        assert len(chunks) == 1  # 75 functions: one chunk
         for lo, hi in [(lo, hi) for hi in range(4) for lo in range(4) if lo & hi == lo]:
             for x in range(4):
                 got = [bool(minimal_over(c.cols, x, lo, hi, c.full) >> lane_bit(k) & 1)
