@@ -53,15 +53,16 @@ the first mask whose rank comes again and the next mask of that rank.
 ``injective_witness`` and ``minimize.certify_global_min`` all ask it.
 
 For the exhaustive suites and witness search, at n <= ENUMERATION_CAP, the
-lanes run across functions instead (``lane_chunks``): blocks of enumerated
-rank vectors come as columns, one byte string per subset, and each block
-becomes one chunk, one int per subset, read from its column with an 8-bit
-lane per function, so each predicate call answers at one pair for every
-function of the chunk.  These ints are ``_Column``, the one subclass of
-``Lanes``: they share one table of their comparisons, so a comparison that
-several predicates, pairs or the complement dual repeat is made once, while
-the plain Lanes of rows, bounds and sums compare directly.  On both, Python
-answers ``<`` and ``>=`` as ``>`` and ``<=`` with the operands swapped.
+lanes run across functions instead (``lane_chunks``), entered only as
+columns: the enumerators of ``generators`` give rank vectors as blocks of
+byte strings, one per subset, and each block becomes one chunk, one int per
+subset, read from its column with an 8-bit lane per function, so each
+predicate call answers at one pair for every function of the chunk.  These
+ints are ``_Column``, the one subclass of ``Lanes``: they share one table of
+their comparisons, so a comparison that several predicates, pairs or the
+complement dual repeat is made once, while the plain Lanes of rows, bounds
+and sums compare directly.  On both, Python answers ``<`` and ``>=`` as
+``>`` and ``<=`` with the operands swapped.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from functools import lru_cache
-from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import OrdinalValue, SetFunction, record
@@ -134,9 +134,7 @@ def _ordered_pair_table(n: int) -> tuple[Pair, ...]:
 # each lane, so a predicate returns the bitset of lanes that violate it.  A
 # value, or the sum of two, stays below the guard bit.
 
-# vector_columns: the vectors per block, and so per chunk; and the largest
-# value an 8-bit lane takes, so that a sum of two stays below the guard bit 7
-CHUNK = 4096
+# The largest value an 8-bit lane takes, so that a sum of two stays below the guard bit 7
 LANE_MAX = 63
 
 
@@ -244,31 +242,14 @@ class LaneChunk:
         return LaneChunk([self.cols[full ^ m] for m in range(full + 1)], self.n, self.full)
 
 
-def vector_columns(vectors: Iterable[Sequence[int]], m: int) -> Iterator[tuple[bytes, ...]]:
-    """Vectors of m ints as blocks of columns for ``lane_chunks``, CHUNK vectors a block.
-
-    Raises ValueError for a vector of another length or a value outside
-    0..LANE_MAX.
-    """
-    it = iter(vectors)
-    while batch := list(islice(it, CHUNK)):
-        try:
-            cols = tuple(map(bytes, zip(*batch, strict=True)))
-        except (TypeError, ValueError):
-            cols = ()
-        if len(cols) != m:
-            raise ValueError(f"bit-sliced vectors need {m} integers in 0..{LANE_MAX} each")
-        yield cols
-
-
 def lane_chunks(blocks: Iterable[Sequence[bytes]], n: int) -> Iterator[LaneChunk]:
     """Bit-slice blocks of rank vectors on the 2**n subsets: one chunk per nonempty block, in order.
 
     Each block holds 2**n byte strings of equal length, column s holding
     byte s of each of its vectors, as ``generators.weak_order_columns`` and
-    ``vector_columns`` give them; lane k of the chunk's column s holds byte
-    k of the block's column s.  Raises ValueError for a block of another
-    shape or a value outside 0..LANE_MAX.
+    ``generators.linear_order_columns`` give them; lane k of the chunk's
+    column s holds byte k of the block's column s.  Raises ValueError for a
+    block of another shape or a value outside 0..LANE_MAX.
     """
     size = 1 << n
     error = f"bit-sliced blocks need {size} byte columns of equal length, with values in 0..{LANE_MAX}"
@@ -413,7 +394,7 @@ def _live_rows(lay: _Layout, conds: Iterable[ConditionId]) -> dict[ConditionId, 
         fx = Lanes(lay.packed + ones, guard)  # f + 1, as in the maxima
         above, below = (Lanes(lay.proper_maxima(down), guard) for down in (False, True))
         counts, least = Counter(ranks), ones  # least + 1: rank 0, save on the lone subset of rank 0
-        if counts[0] == 1 < len(ranks):
+        if counts[0] == 1:
             least += 1 << (w * ranks.index(0))
         least, shared = Lanes(least, guard), None
         for cond in ordinal:

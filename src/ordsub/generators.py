@@ -7,14 +7,13 @@ ordinal behaviour at small n; injective rank vectors (permutations) cover the
 linear-order case.  The counts are the ordered set partition numbers
 (3, 75, 545835 for m = 2, 4, 8) and m! respectively.
 
-The surjective vectors come as blocks of columns (``weak_order_columns``),
-ready for ``conditions.lane_chunks``, which makes each block one chunk: one
-block per head, the first m - 6 values, holding the head completed by each
-of its tails of six, column j holding the j-th value of every vector of the
-block.  The tails that complete a head depend only on its largest rank and
-the ranks it skips below that, so a memoized table (``_tails``) builds each
-set of tails once, as columns, and a block is the head's columns, one
-repeated byte each, followed by those: no object is made per vector.
+Both come as blocks of columns, ready for ``conditions.lane_chunks``, which
+makes each block one chunk: one block per head, the first m - 6 values, the
+head's columns, one repeated byte each, followed by the columns of its tails
+of six, built once, so no object is made per vector.  A weak order's tails
+(``weak_order_columns``) depend only on its head's largest rank and the
+ranks it skips below that, and ``_tails`` builds each set once; a
+permutation's (``linear_order_columns``) are those of 1..6, relabelled.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ from .conditions import ENUMERATION_CAP, ConditionId, lane_chunks
 from .core import INTEGERS, RATIONALS, GroundSet, OrderedCodomain, RawKey, SetFunction, _clip, default_elements, record
 
 
-# The length of the memoized tails, which sets the size of the blocks and so
-# of the chunks.  At m = 8 the tails of six take about 2.4 MB of columns, and
-# the 63 blocks there hold 720 to 18,731 vectors each.
+# The length of the memoized tails, which sizes the blocks, and so the chunks,
+# of both enumerators.  At m = 8 the weak orders' tails of six take 2.4 MB of
+# columns, in 63 blocks of 720 to 18,731 vectors; the permutations, 56 of 720.
 _TAIL = 6
 
 
@@ -74,12 +73,27 @@ def surjective_rank_vectors(m: int) -> Iterator[tuple[int, ...]]:
     return itertools.chain.from_iterable(zip(*block) for block in weak_order_columns(m))
 
 
+def linear_order_columns(m: int) -> Iterator[tuple[bytes, ...]]:
+    """The vectors of injective_rank_vectors(m), in blocks as weak_order_columns
+    gives its own: per head, the permutations of 1..r, built once as columns,
+    relabelled onto the r values the head leaves.  The relabelling is
+    increasing, so the order stays lexicographic.  m >= 1."""
+    r = min(m, _TAIL)
+    tails = tuple(map(bytes, zip(*itertools.permutations(range(1, r + 1)))))
+    count = len(tails[0])
+    for head in itertools.permutations(range(1, m + 1), m - r):
+        table = bytes.maketrans(bytes(range(1, r + 1)), bytes(v for v in range(1, m + 1) if v not in head))
+        yield (*(bytes((v,)) * count for v in head), *(col.translate(table) for col in tails))
+
+
 def injective_rank_vectors(m: int) -> Iterator[tuple[int, ...]]:
     """All m! injective rank vectors (permutations of 1..m), lexicographic."""
     return itertools.permutations(range(1, m + 1))
 
 
 def _check_cap(n: int) -> int:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"n must be an int, got {type(n).__name__}")
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"exhaustive enumeration is capped at n <= {ENUMERATION_CAP}, got {n}")
     return n

@@ -8,10 +8,10 @@ certificates rely on are checked against brute force rather than trusted.
 
 The functions are checked a chunk at a time (``conditions.lane_chunks``),
 fed as columns: the weak orders by ``generators.weak_order_columns`` and
-theorem2's permutations by ``conditions.vector_columns``.  Each hypothesis
-and each check of a consequence is a bitset of the chunk's functions, built
-from ``conditions.VIOLATES`` and ``minimize.minimal_over``, so no condition
-is spelled out here a second time.  The first violation reported is that of
+theorem2's permutations by ``generators.linear_order_columns``.  Each
+hypothesis and each check of a consequence is a bitset of the chunk's
+functions, built from ``conditions.VIOLATES`` and ``minimize.minimal_over``,
+so no condition is spelled out here a second time.  The first violation reported is that of
 the first violating function in enumeration order, at its first failing
 check in the suite's order.
 
@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .conditions import ConditionId, LaneChunk, lane_chunks, vector_columns
+from .conditions import ConditionId, LaneChunk, lane_chunks
 from .core import IntervalSublattice, record
-from .generators import _check_cap, injective_rank_vectors, weak_order_columns
+from .generators import _check_cap, linear_order_columns, weak_order_columns
 from .minimize import minimal_over
 
 Q1, Q2, Q3, Q4, QH, QUASI = (ConditionId.Q1, ConditionId.Q2, ConditionId.Q3, ConditionId.Q4,
@@ -171,9 +171,8 @@ def run_suite(suite: str, n: int) -> SuiteResult:
     _check_cap(n)
     scanned = hyp_count = violations = 0
     first: str | None = None
-    m = 1 << n
-    blocks = vector_columns(injective_rank_vectors(m), m) if suite == "theorem2" else weak_order_columns(m)
-    for c in lane_chunks(blocks, n):
+    enumerator = linear_order_columns if suite == "theorem2" else weak_order_columns
+    for c in lane_chunks(enumerator(1 << n), n):
         hyp, fails = _SUITES[suite](c)
         bad = 0
         for bits, _ in fails:

@@ -27,9 +27,11 @@ from ordsub import (
     modular_plus_concave,
     parse_predicate,
     random_function,
+    run_suite,
     search_witness,
 )
-from ordsub.generators import surjective_rank_vectors, weak_order_columns
+from ordsub.conditions import lane_chunks
+from ordsub.generators import injective_rank_vectors, linear_order_columns, surjective_rank_vectors, weak_order_columns
 
 
 def stirling2(m, k):
@@ -86,6 +88,17 @@ class TestSurjectiveRankVectors:
         assert digest.hexdigest() == "8ec11100a18dd86957c7e8662d834d9e43d4db0e134370a688faa0fd2c998a03"
 
 
+class TestLinearOrderColumns:
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_blocks_read_as_the_permutations_one_chunk_each(self, m):
+        blocks = list(linear_order_columns(m))
+        assert [vec for block in blocks for vec in zip(*block)] == list(injective_rank_vectors(m))
+        assert [c.count for c in lane_chunks(blocks, m.bit_length() - 1)] == [len(block[0]) for block in blocks]
+
+    def test_n3_stream_is_56_blocks_of_720(self):
+        assert [len(block[0]) for block in linear_order_columns(8)] == [720] * 56
+
+
 class TestEnumerators:
     def test_weak_orders_counts(self):
         assert sum(1 for _ in enumerate_weak_orders(1)) == 3
@@ -99,6 +112,14 @@ class TestEnumerators:
             list(enumerate_weak_orders(4))
         with pytest.raises(ValueError, match="capped"):
             list(enumerate_linear_orders(4))
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, "2", None])
+    def test_n_must_be_an_int(self, n):
+        # a bool is an int to Python, and True would otherwise run as n = 1
+        for run in (enumerate_weak_orders, enumerate_linear_orders, lambda n: [search_witness(n, "Q1")],
+                    lambda n: [run_suite("lemma1", n)]):
+            with pytest.raises(TypeError, match="n must be an int"):
+                list(run(n))
 
     def test_linear_orders(self):
         assert [f.values for f in enumerate_linear_orders(1)] == [(1, 2), (2, 1)]

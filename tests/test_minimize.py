@@ -20,7 +20,7 @@ from ordsub import (
     random_function,
 )
 
-from ordsub.conditions import lane_chunks, vector_columns
+from ordsub.conditions import lane_chunks
 from ordsub.minimize import minimal_over
 
 from conftest import codomain_variants, intfn, lane_bit
@@ -74,7 +74,7 @@ class TestIntervalMinimality:
                 )
         # on a chunk's lanes, minimal_over answers bit k for function k
         vectors = [f.values for f in enumerate_weak_orders(2)]
-        chunks = list(lane_chunks(vector_columns(vectors, 4), 2))
+        chunks = list(lane_chunks([tuple(map(bytes, zip(*vectors)))], 2))
         assert len(chunks) == 1  # 75 functions: one chunk
         for lo, hi in [(lo, hi) for hi in range(4) for lo in range(4) if lo & hi == lo]:
             for x in range(4):
