@@ -9,6 +9,7 @@ recurrence rather than by enumeration.
 import gc
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -241,7 +242,74 @@ class TestRandomFunction:
             random_function(2, OrderedCodomain("labels", ("x",)), 2, seed=0)
 
 
+_NAMES = ("Q1", "q2", "Q3", "Q4", "Qh", "QH", "quasi", "Quasi", "QuasiSubmodular", "ordinary",
+          "OrdinarySubmodular", "injective", "INJECTIVE", "Q5", "Q1x", "x")
+_UNARY = ("!", "¬", "~")
+_BINARY = ("&", "|", "∧", "∨", "&&", "||")
+_JUNK = ("#", "1a", "∪", "é", "9", "$", "\x1f")
+_BLANKS = ("", " ", " ", " ", "  ", "\t", "\n", "\xa0", "\u2028")
+
+
+def predicate_corpus(seed, count):
+    """count seeded predicates: well-formed ones, the same with one token
+    inserted, dropped or replaced, token soup, nests of ! and ( 90-110 deep,
+    and the odd chain of up to 3,000 terms, joined by random blanks."""
+    rng = random.Random(seed)
+    pieces = _NAMES + _UNARY + _BINARY + ("(", ")") + _JUNK
+
+    def expr(d):
+        r = rng.random()
+        if d <= 0 or r < 0.3:
+            return [rng.choice(_NAMES)]
+        if r < 0.45:
+            return [rng.choice(_UNARY)] + expr(d - 1)
+        if r < 0.6:
+            return ["("] + expr(d - 1) + [")"]
+        op, out = rng.choice(_BINARY), expr(d - 1)
+        for _ in range(rng.randint(1, 4)):
+            out += [op] + expr(d - 1)
+        return out
+
+    for _ in range(count):
+        r = rng.random()
+        if r < 0.01:
+            opens = [rng.choice("!(") for _ in range(rng.randint(90, 110))]
+            closes = [")" for t in opens if t == "(" and rng.random() > 0.002]
+            tokens = opens + expr(2) + closes
+        elif r < 0.0115:
+            tokens = ["("] * rng.randint(0, 90) + [rng.choice(_NAMES[:6]), "&"] * rng.randint(1, 1500) + ["Q1"]
+        elif r < 0.6:
+            tokens = expr(rng.randint(0, 4))
+            i, kind = rng.randint(0, len(tokens)), rng.random()
+            if kind < 0.2:
+                tokens.insert(i, rng.choice(pieces))
+            elif kind < 0.4:
+                del tokens[i - 1:i]
+            elif kind < 0.6:
+                tokens[i - 1:i] = [rng.choice(pieces)]
+        else:
+            tokens = [rng.choice(pieces) for _ in range(rng.randint(0, 10))]
+        text = rng.choice(_BLANKS).join(tokens) if rng.random() < 0.5 else \
+            "".join(t + rng.choice(_BLANKS) for t in tokens)
+        yield rng.choice(("", "", " ", "\t")) + text
+
+
+def parse_outcome(text):
+    """The AST's repr, or the exact error line."""
+    try:
+        return repr(parse_predicate(text).ast)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
 class TestPredicateParsing:
+    def test_corpus_digest(self):
+        # every AST and error line of 20,000 seeded predicates, pinned when the parser was rewritten
+        digest = hashlib.sha256()
+        for text in predicate_corpus(29, 20_000):
+            digest.update(f"{text}\0{parse_outcome(text)}\n".encode())
+        assert digest.hexdigest() == "c35cf28752c4741bcc6b7768f58fdef3bfd66f757efab81ac04be09eb51f3582"
+
     def test_ascii_and_unicode(self):
         for text in ("Q4 & !Q3", "Q4 ∧ ¬Q3", "Q4&&!Q3"):
             p = parse_predicate(text)
