@@ -398,11 +398,6 @@ class IntervalSublattice:
             sub = (sub - free) & free
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask (the interval [0, mask]), in increasing order."""
-    yield from IntervalSublattice(0, mask).members()
-
-
 @record
 class SetFunction:
     """A total map from the subsets of a ground set into an ordered codomain.

@@ -220,16 +220,18 @@ _ALIASES = {
 }
 
 # Compiled, and cached by re, on the first parse: only search parses a predicate.
-_TOKEN_RE = r"\s*([A-Za-z][A-Za-z0-9]*|[&|!()])"
-# The first character no token can hold: one outside the token alphabet, or
-# a digit that would start a name.
-_BAD_CHAR_RE = r"[^\sA-Za-z0-9&|!()]|(?<![A-Za-z0-9])[0-9]"
+# One pass tokenizes: each match is a token (group 1) or the first character
+# no token can hold (group 2: one outside the token alphabet, or a digit that
+# would start a name).  The scan stops before the text's trailing blanks, which
+# no match can take: from each of them, \s* would run to the end and fail.
+_TOKEN_RE = r"\s*(?:([A-Za-z][A-Za-z0-9]*|[&|!()])|(\S))"
 
 # Bound on nested ! and parentheses, which the parser recurses through, and
 # on the height of the parsed tree, which evaluation recurses through, so
 # that both stay far below Python's recursion limit.  A chain of & or | is
 # built as a balanced tree, so its height grows only as the log of its length.
 MAX_PREDICATE_NESTING = 100
+_TOO_DEEP = f"predicate nests too deeply (more than {MAX_PREDICATE_NESTING} levels)"
 
 
 @record
@@ -251,9 +253,10 @@ class ClassPredicate:
         return _evaluate(self.ast, lookup, true)
 
 
-# Module-level recursion, not nested closures: a closure that calls itself
-# is a reference cycle, which would keep each call's flags alive until the
-# cyclic garbage collector runs.
+# Module-level recursion, not nested closures, in the parser as in the tree
+# walks: a closure that calls itself is a reference cycle, which would keep
+# each parse's tokens, or each call's flags, alive until the cyclic garbage
+# collector runs.
 
 def _flags(node: tuple) -> frozenset[ConditionId]:
     if node[0] == "flag":
@@ -272,88 +275,66 @@ def _evaluate(node: tuple, lookup: Callable[[ConditionId], int], true: int) -> i
     return _evaluate(node[1], lookup, true) | _evaluate(node[2], lookup, true)
 
 
+# The parser's nodes come with their height, a flag's being 0.
+
+def _node(op: str, *kids: tuple) -> tuple:
+    height = 1 + max(h for _, h in kids)
+    if height > MAX_PREDICATE_NESTING:
+        raise ValueError(_TOO_DEEP)
+    return (op, *(k for k, _ in kids)), height
+
+
+def _balanced(op: str, nodes: list[tuple]) -> tuple:
+    if len(nodes) == 1:
+        return nodes[0]
+    mid = len(nodes) // 2
+    return _node(op, _balanced(op, nodes[:mid]), _balanced(op, nodes[mid:]))
+
+
+def _parse(tokens: list[str], source: str, depth: int, ops: str = "|&") -> tuple:
+    """One operand of the binary operators in ops, loosest first, popped off
+    the end of tokens: a chain of them for ops[0], or for no ops a negation,
+    a parenthesized predicate or a flag.  depth counts the ! and ( around."""
+    if ops:
+        nodes = [_parse(tokens, source, depth, ops[1:])]
+        while tokens[-1] == ops[0]:
+            tokens.pop()
+            nodes.append(_parse(tokens, source, depth, ops[1:]))
+        return _balanced("or" if ops[0] == "|" else "and", nodes)
+    t = tokens.pop()
+    if t in ("!", "("):
+        if depth >= MAX_PREDICATE_NESTING:
+            raise ValueError(_TOO_DEEP)
+        if t == "!":
+            return _node("not", _parse(tokens, source, depth + 1, ""))
+        node = _parse(tokens, source, depth + 1)
+        if tokens.pop() != ")":
+            raise ValueError(f"unbalanced parentheses in predicate {_clip(source)}")
+        return node
+    if t == "$":
+        raise ValueError(f"predicate {_clip(source)} ends where a condition belongs")
+    if t in ("&", "|", ")"):
+        raise ValueError(f"expected a condition, found {t!r}, in predicate {_clip(source)}")
+    key = t.lower()
+    if key not in _ALIASES:
+        raise ValueError(f"unknown condition {_clip(t)}; expected one of Q1..Q4, Qh, QuasiSubmodular, "
+                         "OrdinarySubmodular, Injective")
+    return ("flag", _ALIASES[key]), 0
+
+
 def parse_predicate(text: str) -> ClassPredicate:
     source = text
     text = text.replace("∧", "&").replace("∨", "|").replace("¬", "!").replace("~", "!")
     text = text.replace("&&", "&").replace("||", "|")
-    bad = re.search(_BAD_CHAR_RE, text)
-    if bad:  # echo from the end of the last whole token, blanks before the bad character included
-        raise ValueError(f"predicate syntax error at {_clip(text[len(text[:bad.start()].rstrip()):])}")
-    tokens = re.findall(_TOKEN_RE, text) + ["$"]
-    idx = 0
-    depth = 0
-
-    def peek() -> str:
-        return tokens[idx]
-
-    def take() -> str:
-        nonlocal idx
-        t = tokens[idx]
-        idx += 1
-        return t
-
-    too_deep = f"predicate nests too deeply (more than {MAX_PREDICATE_NESTING} levels)"
-
-    # each parse_* returns (node, height), the height of a flag being 0
-    def nested(parse: Callable[[], tuple]) -> tuple:
-        nonlocal depth
-        depth += 1
-        if depth > MAX_PREDICATE_NESTING:
-            raise ValueError(too_deep)
-        node = parse()
-        depth -= 1
-        return node
-
-    def make(op: str, *kids: tuple) -> tuple:
-        height = 1 + max(h for _, h in kids)
-        if height > MAX_PREDICATE_NESTING:
-            raise ValueError(too_deep)
-        return (op, *(k for k, _ in kids)), height
-
-    def balanced(op: str, nodes: list[tuple]) -> tuple:
-        if len(nodes) == 1:
-            return nodes[0]
-        mid = len(nodes) // 2
-        return make(op, balanced(op, nodes[:mid]), balanced(op, nodes[mid:]))
-
-    def parse_chain(op: str, token: str, parse_operand: Callable[[], tuple]) -> tuple:
-        nodes = [parse_operand()]
-        while peek() == token:
-            take()
-            nodes.append(parse_operand())
-        return balanced(op, nodes)
-
-    def parse_or() -> tuple:
-        return parse_chain("or", "|", parse_and)
-
-    def parse_and() -> tuple:
-        return parse_chain("and", "&", parse_not)
-
-    def parse_not() -> tuple:
-        if peek() == "!":
-            take()
-            return make("not", nested(parse_not))
-        return parse_atom()
-
-    def parse_atom() -> tuple:
-        t = take()
-        if t == "(":
-            node = nested(parse_or)
-            if take() != ")":
-                raise ValueError(f"unbalanced parentheses in predicate {_clip(source)}")
-            return node
-        if t == "$":
-            raise ValueError(f"predicate {_clip(source)} ends where a condition belongs")
-        if t in ("&", "|", ")"):  # ! is taken by parse_not
-            raise ValueError(f"expected a condition, found {t!r}, in predicate {_clip(source)}")
-        key = t.lower()
-        if key not in _ALIASES:
-            raise ValueError(f"unknown condition {_clip(t)}; expected one of Q1..Q4, Qh, QuasiSubmodular, "
-                             "OrdinarySubmodular, Injective")
-        return ("flag", _ALIASES[key]), 0
-
-    node, _ = parse_or()
-    if take() != "$":
+    tokens = []
+    for m in re.compile(_TOKEN_RE).finditer(text, 0, len(text.rstrip())):
+        if m[2]:  # echo from the end of the last whole token, blanks before the bad character included
+            raise ValueError(f"predicate syntax error at {_clip(text[m.start():])}")
+        tokens.append(m[1])
+    tokens.append("$")
+    tokens.reverse()
+    node, _ = _parse(tokens, source, 0)
+    if tokens.pop() != "$":
         raise ValueError(f"trailing input in predicate {_clip(source)}")
     return ClassPredicate(source, node)
 
@@ -370,8 +351,9 @@ def search_witness(n: int, predicate: ClassPredicate | str) -> SetFunction | Non
     _check_cap(n)
     if isinstance(predicate, str):
         predicate = parse_predicate(predicate)
+    conds = predicate.conditions()
     for c in lane_chunks(weak_order_columns(1 << n), n):
-        flags = {cond: c.holds(cond) for cond in predicate.conditions()}
+        flags = {cond: c.holds(cond) for cond in conds}
         match = predicate.evaluate(flags.__getitem__, c.full)
         if match:
             return SetFunction.from_ints(n, c.vector(match))

@@ -17,7 +17,7 @@ from ordsub import (
     random_function,
 )
 from ordsub import core
-from ordsub.core import _clip, _exact_ints, submasks
+from ordsub.core import _clip, _exact_ints
 
 from conftest import codomain_variants, intfn
 
@@ -361,7 +361,3 @@ class TestIntervalSublattice:
         assert members == [m for m in range(16) if box.contains(m)]
         assert members == [m for m in range(16) if m & lo == lo and m & hi == m]
         assert box.cardinality == len(members)
-
-    def test_submasks(self):
-        assert list(submasks(5)) == [0, 1, 4, 5]
-        assert list(submasks(0)) == [0]

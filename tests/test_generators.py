@@ -10,6 +10,7 @@ import gc
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -302,6 +303,28 @@ def parse_outcome(text):
         return f"ValueError: {err}"
 
 
+_ORACLE_FLAGS = (ConditionId.Q1, ConditionId.Q4, ConditionId.QH, ConditionId.INJECTIVE)
+_ALIAS_OF = {"Q1": ConditionId.Q1, "q1": ConditionId.Q1, "Q4": ConditionId.Q4, "Qh": ConditionId.QH,
+             "QH": ConditionId.QH, "injective": ConditionId.INJECTIVE, "Injective": ConditionId.INJECTIVE}
+_PYTHON = {"!": "not", "¬": "not", "~": "not", "&": "and", "∧": "and", "&&": "and",
+           "|": "or", "∨": "or", "||": "or", "(": "(", ")": ")"}
+
+
+def _well_formed(rng, d):
+    """The tokens of a seeded well-formed predicate over the four oracle flags, d levels deep at most."""
+    r = rng.random()
+    if d <= 0 or r < 0.25:
+        return [rng.choice(tuple(_ALIAS_OF))]
+    if r < 0.4:
+        return [rng.choice(_UNARY)] + _well_formed(rng, d - 1)
+    if r < 0.55:
+        return ["("] + _well_formed(rng, d - 1) + [")"]
+    out = _well_formed(rng, d - 1)
+    for _ in range(rng.randint(1, 3)):
+        out += [rng.choice(_BINARY)] + _well_formed(rng, d - 1)
+    return out
+
+
 class TestPredicateParsing:
     def test_corpus_digest(self):
         # every AST and error line of 20,000 seeded predicates, pinned when the parser was rewritten
@@ -380,6 +403,44 @@ class TestPredicateParsing:
         assert not p.evaluate(look.__getitem__)
         look[ConditionId.QH] = False
         assert p.evaluate(look.__getitem__)
+
+    def test_meaning_matches_python(self):
+        # ! & | bind like Python's not, and, or: each predicate, rewritten so, is the oracle for
+        # every assignment of its flags, as bools and as one 16-lane bitset
+        rng = random.Random(7)
+        for _ in range(1500):
+            tokens = _well_formed(rng, rng.randint(0, 5))
+            text = "".join(t + rng.choice(_BLANKS[1:]) for t in tokens)
+            python = " ".join(_PYTHON.get(t) or f"v{_ORACLE_FLAGS.index(_ALIAS_OF[t])}" for t in tokens)
+            p, code = parse_predicate(text), compile(python, "<oracle>", "eval")
+            want = [bool(eval(code, {f"v{i}": a >> i & 1 for i in range(4)})) for a in range(16)]
+            for a in range(16):
+                look = {c: bool(a >> i & 1) for i, c in enumerate(_ORACLE_FLAGS)}
+                assert p.evaluate(look.__getitem__) == want[a], (text, a)
+            lanes = {c: sum(1 << a for a in range(16) if a >> i & 1) for i, c in enumerate(_ORACLE_FLAGS)}
+            assert p.evaluate(lanes.__getitem__, 0xFFFF) == sum(w << a for a, w in enumerate(want)), text
+
+    def test_parse_leaves_no_cyclic_garbage(self):
+        # the parser recurses through module-level functions, whose frames form no cycle
+        parse_predicate("Q1")  # compiles the token pattern
+        gc.collect()
+        gc.disable()
+        try:
+            parse_predicate("Qh & !(Q1 & Q2)")
+            try:
+                parse_predicate("Qh & !(Q1 & Q2")
+            except ValueError:
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_trailing_blanks_scan_in_linear_time(self):
+        # a scan that ran over the blanks to the end from each of them took about 12 s here
+        start = time.perf_counter()
+        assert parse_predicate("Q1" + " " * 30_000).conditions() == {ConditionId.Q1}
+        assert time.perf_counter() - start < 1
+
 
 
 class TestSearchWitness:
