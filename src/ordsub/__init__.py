@@ -7,126 +7,54 @@ chains, and exhaustive small-n enumeration for verifying the structural
 claims the library is built on.
 """
 
-from .conditions import (
-    ClassReport,
-    ConditionId,
-    ConditionWitness,
-    check_condition,
-    check_ordinary_submodular,
-    classify,
-    holds_at_pair,
-    is_injective,
-    is_ordinary_submodular,
-    iter_witnesses,
-)
-from .core import (
-    INTEGERS,
-    RATIONALS,
-    GroundSet,
-    IntervalSublattice,
-    OrderedCodomain,
-    OrdinalValue,
-    SetFunction,
-    default_elements,
-)
-from .generators import (
-    ClassPredicate,
-    cut_function,
-    enumerate_linear_orders,
-    enumerate_weak_orders,
-    modular_plus_concave,
-    parse_predicate,
-    random_function,
-    search_witness,
-)
-from .hierarchy import (
-    ChainError,
-    LevelChain,
-    LevelValues,
-    check_qh,
-    family_chain,
-    level_family,
-    levels,
-    qh_from_chain,
-)
-from .io import (
-    chain_to_json,
-    load_set_function,
-    parse_set_function,
-    set_function_to_json,
-)
-from .minimize import (
-    ArgminSet,
-    ConstrainedMinimum,
-    DescentTrace,
-    HypothesisError,
-    MinimalityCertificate,
-    argmin,
-    argmin_lattice_closure,
-    certify_global_min,
-    constrained_minimize,
-    interval_descent,
-    is_interval_local_min,
-    is_lower_interval_min,
-    lift_to_global,
-)
-from .verify import SUITE_NAMES, SuiteResult, run_suite
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArgminSet",
-    "ChainError",
-    "ClassPredicate",
-    "ClassReport",
-    "ConditionId",
-    "ConditionWitness",
-    "ConstrainedMinimum",
-    "DescentTrace",
-    "GroundSet",
-    "HypothesisError",
-    "INTEGERS",
-    "IntervalSublattice",
-    "LevelChain",
-    "LevelValues",
-    "MinimalityCertificate",
-    "OrderedCodomain",
-    "OrdinalValue",
-    "RATIONALS",
-    "SUITE_NAMES",
-    "SetFunction",
-    "SuiteResult",
-    "argmin",
-    "argmin_lattice_closure",
-    "certify_global_min",
-    "chain_to_json",
-    "check_condition",
-    "check_ordinary_submodular",
-    "check_qh",
-    "classify",
-    "constrained_minimize",
-    "cut_function",
-    "default_elements",
-    "enumerate_linear_orders",
-    "enumerate_weak_orders",
-    "family_chain",
-    "holds_at_pair",
-    "interval_descent",
-    "is_injective",
-    "is_interval_local_min",
-    "is_lower_interval_min",
-    "is_ordinary_submodular",
-    "iter_witnesses",
-    "level_family",
-    "levels",
-    "lift_to_global",
-    "load_set_function",
-    "modular_plus_concave",
-    "parse_predicate",
-    "parse_set_function",
-    "qh_from_chain",
-    "random_function",
-    "run_suite",
-    "search_witness",
-    "set_function_to_json",
-]
+# Each public name, by the module that defines it.  A name is imported on its
+# first access (PEP 562), so ``import ordsub`` alone loads none of them.
+_HOME = {
+    name: module
+    for module, names in {
+        "conditions": (
+            "ClassReport", "ConditionId", "ConditionWitness", "check_condition", "check_ordinary_submodular",
+            "classify", "holds_at_pair", "is_injective", "is_ordinary_submodular", "iter_witnesses",
+        ),
+        "core": (
+            "INTEGERS", "RATIONALS", "GroundSet", "IntervalSublattice", "OrderedCodomain", "OrdinalValue",
+            "SetFunction", "default_elements",
+        ),
+        "generators": (
+            "ClassPredicate", "cut_function", "enumerate_linear_orders", "enumerate_weak_orders",
+            "modular_plus_concave", "parse_predicate", "random_function", "search_witness",
+        ),
+        "hierarchy": (
+            "ChainError", "LevelChain", "LevelValues", "check_qh", "family_chain", "level_family", "levels",
+            "qh_from_chain",
+        ),
+        "io": ("chain_to_json", "load_set_function", "parse_set_function", "set_function_to_json"),
+        "minimize": (
+            "ArgminSet", "ConstrainedMinimum", "DescentTrace", "HypothesisError", "MinimalityCertificate",
+            "argmin", "argmin_lattice_closure", "certify_global_min", "constrained_minimize",
+            "interval_descent", "is_interval_local_min", "is_lower_interval_min", "lift_to_global",
+        ),
+        "verify": ("SUITE_NAMES", "SuiteResult", "run_suite"),
+    }.items()
+    for name in names
+}
+_SUBMODULES = frozenset(_HOME.values())
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _HOME.keys() | _SUBMODULES)

@@ -9,26 +9,36 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
-from .conditions import ConditionId, classify
-from .core import OrderedCodomain, RawKey, SetFunction, _clip
-from .generators import (
-    cut_function,
-    modular_plus_concave,
-    parse_predicate,
-    random_function,
-    search_witness,
-)
-from .hierarchy import check_qh, family_chain, levels
-from .io import chain_to_json, load_set_function, set_function_to_json
-from .minimize import argmin, certify_global_min, constrained_minimize, interval_descent
-from .verify import SUITE_NAMES, run_suite
+
+
+@cache
+def _import_library() -> None:
+    """Bind the library and json as module globals, once; main calls it after the arguments parse.
+
+    So --version, -h and usage errors never import them.  Once bound, the
+    names stay: perfbench/tracer.py re-binds them to time each command's
+    library calls apart from its own.
+    """
+    global json, ConditionId, classify, OrderedCodomain, RawKey, SetFunction, _clip, cut_function
+    global modular_plus_concave, parse_predicate, random_function, search_witness, check_qh, family_chain
+    global levels, chain_to_json, load_set_function, set_function_to_json, argmin, certify_global_min
+    global constrained_minimize, interval_descent, SUITE_NAMES, run_suite
+    import json
+
+    from .conditions import ConditionId, classify
+    from .core import OrderedCodomain, RawKey, SetFunction, _clip
+    from .generators import cut_function, modular_plus_concave, parse_predicate, random_function, search_witness
+    from .hierarchy import check_qh, family_chain, levels
+    from .io import chain_to_json, load_set_function, set_function_to_json
+    from .minimize import argmin, certify_global_min, constrained_minimize, interval_descent
+    from .verify import SUITE_NAMES, run_suite
 
 
 def _emit(args: argparse.Namespace, command: str, inputs: dict, results: dict, status: int, human: list[str]) -> int:
@@ -300,6 +310,8 @@ def build_parser(command: str) -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, required=True)
 
     if p := add("verify", cmd_verify, "run an exhaustive verification suite"):
+        from .verify import SUITE_NAMES
+
         p.add_argument("--suite", required=True, choices=SUITE_NAMES)
         p.add_argument("--n", type=int, required=True)
 
@@ -331,6 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     # No top-level option takes a value, so argparse dispatches on the first token not
     # starting with '-' (or fails on an earlier '-' or '-1', as an invalid choice).
     args = build_parser(next((a for a in argv if not a.startswith("-")), "")).parse_args(argv)
+    _import_library()
     try:
         return args.func(args)
     except (ValueError, IndexError, OSError) as exc:

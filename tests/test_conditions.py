@@ -1210,3 +1210,34 @@ class TestKernelFootprint:
         proc = _run_python(code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "[]", "0 []", "0 True True"]
+
+
+class TestStartUpFootprint:
+    """What a process loads before its arguments parse: the library is imported only to run a command."""
+
+    @staticmethod
+    def _loaded_after(argvs):
+        code = (
+            "import contextlib, io, sys\n"
+            "from ordsub.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            main(argv)\n"
+            "        except SystemExit:\n"
+            "            pass\n"
+            "loaded = sorted(m for m in sys.modules if m == 'ordsub' or m.startswith('ordsub.'))\n"
+            "print(loaded, 'json' in sys.modules)\n"
+        )
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_version_help_and_usage_errors_load_only_the_cli(self):
+        argvs = [["--version"], ["-h"], ["classify", "-h"], ["bogus"]]
+        assert self._loaded_after(argvs) == "['ordsub', 'ordsub.cli'] False"
+
+    def test_verify_help_loads_only_verify_and_its_imports(self):
+        # the suite names come from ordsub.verify, which imports conditions, core, generators and minimize
+        verify = ["ordsub.conditions", "ordsub.core", "ordsub.generators", "ordsub.minimize", "ordsub.verify"]
+        assert self._loaded_after([["verify", "-h"]]) == f"{['ordsub', 'ordsub.cli'] + verify} False"
