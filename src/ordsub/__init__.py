@@ -48,6 +48,7 @@ __all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
+    """A submodule, or a public name from its home module, kept here once imported."""
     if name in _SUBMODULES:
         return _import_module(f"{__name__}.{name}")
     if name not in _HOME:

@@ -788,3 +788,15 @@ class TestProcessExit:
         assert proc.returncode == 120, err
         assert err.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
         assert err.endswith("\nBrokenPipeError: [Errno 32] Broken pipe\n") and err.count("\n") == 2
+
+
+def test_a_rebound_library_name_outlives_the_next_command(monkeypatch, r3_file):
+    # perfbench/tracer.py re-binds the library names in cli to time them; main binds them only once
+    import ordsub.cli as cli
+
+    run_cli("classify", r3_file)
+    calls = []
+    classify = cli.classify
+    monkeypatch.setattr(cli, "classify", lambda f: calls.append(f) or classify(f))
+    assert run_cli("classify", r3_file)[0] == 0
+    assert len(calls) == 1
