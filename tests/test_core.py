@@ -1,3 +1,4 @@
+import operator
 import sys
 from fractions import Fraction
 
@@ -157,12 +158,22 @@ class TestOrderedCodomain:
         assert OrderedCodomain("labels", ("low", "hi")).display(0) == "low"
 
 
+ORDER_OPS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
 class TestOrdinalValue:
     def test_comparisons(self):
         a = INTEGERS.value(1)
         b = INTEGERS.value(2)
         assert a < b and a <= b and b > a and b >= a and a != b
         assert a == INTEGERS.value(1)
+        labels = OrderedCodomain("labels", ("low", "mid", "high"))
+        for cod, lo, hi in ((INTEGERS, -3, 5), (RATIONALS, Fraction(1, 3), Fraction(1, 2)), (labels, "mid", "high")):
+            small, big = cod.value(lo), cod.value(hi)
+            for op in ORDER_OPS:
+                assert op(small, big) is op(0, 1)
+                assert op(big, small) is op(1, 0)
+                assert op(small, cod.value(lo)) is op(0, 0)
 
     def test_cross_codomain_comparison_is_error(self):
         a = INTEGERS.value(1)
@@ -171,10 +182,21 @@ class TestOrdinalValue:
             a < b  # noqa: B015
         with pytest.raises(ValueError):
             a == b  # noqa: B015
+        for op in ORDER_OPS + (operator.eq, operator.ne):
+            for left, right in ((a, b), (b, a)):
+                with pytest.raises(ValueError, match="^cannot compare values from different codomains$"):
+                    op(left, right)
 
     def test_comparison_with_a_non_value_is_error(self):
         with pytest.raises(TypeError, match="^cannot compare OrdinalValue with int$"):
             INTEGERS.value(1) < 2  # noqa: B015
+        for op in ORDER_OPS:
+            for other in (2, "a", None, (INTEGERS, 1)):
+                message = f"^cannot compare OrdinalValue with {type(other).__name__}$"
+                with pytest.raises(TypeError, match=message):
+                    op(INTEGERS.value(1), other)
+                with pytest.raises(TypeError, match=message):
+                    op(other, INTEGERS.value(1))
 
     def test_label_order_follows_position(self):
         cod = OrderedCodomain("labels", ("low", "mid", "high"))

@@ -118,3 +118,16 @@ def test_submodules_are_attributes_after_a_bare_import():
         "print(json.dumps([getattr(ordsub, m) is sys.modules['ordsub.' + m] for m in names]))\n"
     )
     assert json.loads(_run_python(code)) == [True] * len(PUBLIC)
+
+
+def test_a_resolved_name_is_kept_in_the_package():
+    # the first access imports the home module; the name then lives in the package's globals
+    code = (
+        "import json, sys\n"
+        "import ordsub\n"
+        "before = 'classify' in vars(ordsub)\n"
+        "fn = ordsub.classify\n"
+        "kept = vars(ordsub).get('classify')\n"
+        "print(json.dumps([before, kept is fn, kept is sys.modules['ordsub.conditions'].classify]))\n"
+    )
+    assert json.loads(_run_python(code)) == [False, True, True]
