@@ -72,7 +72,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import OrdinalValue, SetFunction, record
+from .core import OrdinalValue, Record, SetFunction
 
 Pair = tuple[int, int, int, int]  # (X, Y, X|Y, X&Y)
 
@@ -193,8 +193,7 @@ class _Column(Lanes):
         return out
 
 
-@record
-class LaneChunk:
+class LaneChunk(Record):
     """Rank vectors on the subsets of n elements, bit-sliced.
 
     ``cols`` holds one _Column per subset, lane k holding function k.  ``full``
@@ -409,8 +408,7 @@ def _live_rows(lay: _Layout, conds: Iterable[ConditionId]) -> dict[ConditionId, 
     return {cond: rows[bits[cond]] for cond in conds}
 
 
-@record
-class ConditionWitness:
+class ConditionWitness(Record):
     """A pair (X, Y) whose four lattice values violate a condition.
 
     ``condition`` is the condition whose defining comparison fails on the
@@ -564,8 +562,7 @@ def is_injective(f: SetFunction) -> bool:
     return max(f.ranks) == f.size - 1
 
 
-@record
-class ClassReport:
+class ClassReport(Record):
     """Flags for every condition, plus the first witness per failed one.
 
     ``flags[ConditionId.ORDINARY]`` is None when the codomain has no additive

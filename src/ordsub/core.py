@@ -13,10 +13,11 @@ comparison, and ties must be reproducible.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 if TYPE_CHECKING:
+    from dataclasses import InitVar
     from fractions import Fraction
 
 MAX_GROUND_SIZE = 20
@@ -56,79 +57,52 @@ def _clip(value: object, limit: int = 60) -> str:
     return text if len(text) <= limit else text[:limit] + "..."
 
 
-class InitVar:
-    """``InitVar[T]`` marks a record field as an argument of ``__init__`` only.
+class Record:
+    """Base of the frozen records: the fields are the string annotations of each subclass, in order.
 
-    It is passed on to ``__post_init__`` and not stored.
+    ``__init_subclass__`` generates ``__init__``, which takes the fields, by
+    position or keyword, with the class attributes as defaults, stores them
+    and then calls ``__post_init__`` if the class has one, passing it the
+    ``InitVar`` fields, which are not stored.  Equality, hash and repr go field
+    by field, and assigning or deleting an attribute raises AttributeError.
+    Only ``__init__`` is generated, so nothing imports ``dataclasses``.
     """
 
-    def __class_getitem__(cls, item: object) -> type:
-        return cls
+    def __init_subclass__(cls) -> None:
+        annotations = cls.__dict__.get("__annotations__", {})
+        defaults = {name: cls.__dict__[name] for name in annotations if name in cls.__dict__}
+        params = [f"{name}={name}" if name in defaults else name for name in annotations]
+        init_only = [name for name, annotation in annotations.items() if annotation.startswith("InitVar[")]
+        cls._fields = tuple(name for name in annotations if name not in init_only)
+        body = [f"    _set(self, {name!r}, {name})" for name in cls._fields]
+        if hasattr(cls, "__post_init__"):
+            body.append(f"    self.__post_init__({', '.join(init_only)})")
+        namespace = {**defaults, "_set": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body), namespace)
+        cls.__init__ = namespace["__init__"]
 
+    def _field_values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
 
-def _field_values(self) -> tuple:
-    return tuple([getattr(self, name) for name in self._fields])
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values() == other._field_values()
 
+    def __hash__(self) -> int:
+        return hash(self._field_values())
 
-def _record_eq(self, other: object) -> bool:
-    if self is other:
-        return True
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return _field_values(self) == _field_values(other)
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({shown})"
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-def _record_hash(self) -> int:
-    return hash(_field_values(self))
-
-
-def _record_repr(self) -> str:
-    shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
-    return f"{self.__class__.__qualname__}({shown})"
-
-
-def _record_setattr(self, name: str, value: object) -> None:
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _record_delattr(self, name: str) -> None:
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
-_RECORD_METHODS = {
-    "__eq__": _record_eq,
-    "__hash__": _record_hash,
-    "__repr__": _record_repr,
-    "__setattr__": _record_setattr,
-    "__delattr__": _record_delattr,
-}
-
-
-def record(cls: type) -> type:
-    """Make cls a frozen record of the fields its annotations list, in order.
-
-    The generated ``__init__`` takes the fields, by position or keyword, with
-    the class attributes as defaults, stores them and then calls
-    ``__post_init__`` if the class has one, passing it the ``InitVar`` fields.
-    Equality, hash and repr go field by field unless the class defines its
-    own, and assigning or deleting an attribute raises AttributeError.
-    Annotations are read as strings (``from __future__ import annotations``).
-    """
-    annotations = cls.__dict__.get("__annotations__", {})
-    defaults = {name: cls.__dict__[name] for name in annotations if name in cls.__dict__}
-    params = [f"{name}={name}" if name in defaults else name for name in annotations]
-    init_only = [name for name, annotation in annotations.items() if annotation.startswith("InitVar[")]
-    cls._fields = tuple(name for name in annotations if name not in init_only)
-    body = [f"    _set(self, {name!r}, {name})" for name in cls._fields]
-    if hasattr(cls, "__post_init__"):
-        body.append(f"    self.__post_init__({', '.join(init_only)})")
-    namespace = {**defaults, "_set": object.__setattr__}
-    exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body), namespace)
-    cls.__init__ = namespace["__init__"]
-    for name, method in _RECORD_METHODS.items():
-        if name not in cls.__dict__:
-            setattr(cls, name, method)
-    return cls
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def default_elements(n: int) -> tuple[str, ...]:
@@ -138,8 +112,7 @@ def default_elements(n: int) -> tuple[str, ...]:
     return tuple(_DEFAULT_NAMES[:n])
 
 
-@record
-class GroundSet:
+class GroundSet(Record):
     """Ordered, distinct element names; element i corresponds to bit i.
 
     Top-level ground sets must be nonempty and have at most ``MAX_GROUND_SIZE``
@@ -213,8 +186,7 @@ class GroundSet:
         return ",".join(self.names_of(mask))
 
 
-@record
-class OrderedCodomain:
+class OrderedCodomain(Record):
     """A totally ordered value set: integers, exact rationals, or ordered labels.
 
     Label comparison follows position in ``label_order``.  Rational values are
@@ -316,8 +288,8 @@ INTEGERS = OrderedCodomain("integer")
 RATIONALS = OrderedCodomain("rational")
 
 
-@record
-class OrdinalValue:
+@total_ordering
+class OrdinalValue(Record):
     """One value of an ordered codomain.  Comparable only within its codomain."""
 
     codomain: OrderedCodomain
@@ -332,15 +304,6 @@ class OrdinalValue:
 
     def __lt__(self, other: object) -> bool:
         return self.key < self._check(other).key
-
-    def __le__(self, other: object) -> bool:
-        return self.key <= self._check(other).key
-
-    def __gt__(self, other: object) -> bool:
-        return self.key > self._check(other).key
-
-    def __ge__(self, other: object) -> bool:
-        return self.key >= self._check(other).key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrdinalValue):
@@ -359,8 +322,7 @@ class OrdinalValue:
         return self.display()
 
 
-@record
-class IntervalSublattice:
+class IntervalSublattice(Record):
     """The interval [lo, hi] = all subsets Z with lo ⊆ Z ⊆ hi."""
 
     lo: int
@@ -398,14 +360,13 @@ class IntervalSublattice:
             sub = (sub - free) & free
 
 
-@record
-class SetFunction:
+class SetFunction(Record):
     """A total map from the subsets of a ground set into an ordered codomain.
 
     ``values`` holds raw comparable keys indexed by subset mask (ints for the
     integer kind, Fractions for rational, label positions for labels).  Use
     :meth:`value` for codomain-tagged values and ``ranks`` to compare them.
-    Instances are immutable and safe to share across workers.
+    Instances are immutable and hashable.
     """
 
     ground: GroundSet

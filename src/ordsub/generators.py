@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .conditions import ENUMERATION_CAP, ConditionId, lane_chunks
-from .core import INTEGERS, RATIONALS, GroundSet, OrderedCodomain, RawKey, SetFunction, _clip, default_elements, record
+from .core import INTEGERS, RATIONALS, GroundSet, OrderedCodomain, RawKey, Record, SetFunction, _clip, default_elements
 
 
 # The length of the memoized tails, which sizes the blocks, and so the chunks,
@@ -234,8 +234,7 @@ MAX_PREDICATE_NESTING = 100
 _TOO_DEEP = f"predicate nests too deeply (more than {MAX_PREDICATE_NESTING} levels)"
 
 
-@record
-class ClassPredicate:
+class ClassPredicate(Record):
     """A parsed boolean combination of condition flags."""
 
     source: str

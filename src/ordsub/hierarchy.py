@@ -15,15 +15,14 @@ rejected rather than repaired.
 from __future__ import annotations
 
 from .conditions import ConditionId, ConditionWitness, check_condition
-from .core import INTEGERS, GroundSet, OrdinalValue, SetFunction, record
+from .core import INTEGERS, GroundSet, OrdinalValue, Record, SetFunction
 
 
 class ChainError(ValueError):
     """A family chain violates nesting or does not induce a Qh function."""
 
 
-@record
-class LevelValues:
+class LevelValues(Record):
     """The distinct values of f, strictly increasing."""
 
     mu: tuple[OrdinalValue, ...]
@@ -33,8 +32,7 @@ class LevelValues:
         return len(self.mu)
 
 
-@record
-class LevelChain:
+class LevelChain(Record):
     """Families F_0, ..., F_p as sorted mask tuples; F_0 is empty."""
 
     families: tuple[tuple[int, ...], ...]

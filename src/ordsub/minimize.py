@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .conditions import ConditionId, _first_witnesses, check_condition
-from .core import IntervalSublattice, OrdinalValue, SetFunction, record
+from .core import IntervalSublattice, OrdinalValue, Record, SetFunction
 
 # Each entry's conditions are checked in order: Injective before Q4, so that a
 # function that is not injective skips the Q4 scan.
@@ -41,8 +41,7 @@ class HypothesisError(ValueError):
     """A requested structural hypothesis was checked and does not hold."""
 
 
-@record
-class ArgminSet:
+class ArgminSet(Record):
     """All global minimizers (ascending mask) and the minimum value."""
 
     minimizers: tuple[int, ...]
@@ -55,8 +54,7 @@ class ArgminSet:
         }
 
 
-@record
-class MinimalityCertificate:
+class MinimalityCertificate(Record):
     """Record that ``point`` is minimal over [∅, point] ∪ [point, E].
 
     ``hypothesis`` names the structural condition under which interval-local
@@ -87,8 +85,7 @@ class MinimalityCertificate:
         }
 
 
-@record
-class DescentTrace:
+class DescentTrace(Record):
     """Points visited by interval descent; values strictly decrease."""
 
     steps: tuple[tuple[int, OrdinalValue], ...]
@@ -108,8 +105,7 @@ class DescentTrace:
         }
 
 
-@record
-class ConstrainedMinimum:
+class ConstrainedMinimum(Record):
     """Exact minimum of an objective over {X : f(X) > k-th distinct value of f}."""
 
     argmin: ArgminSet

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .conditions import ConditionId, LaneChunk, lane_chunks
-from .core import IntervalSublattice, record
+from .core import IntervalSublattice, Record
 from .generators import _check_cap, linear_order_columns, weak_order_columns
 from .minimize import minimal_over
 
@@ -46,8 +46,7 @@ Q1, Q2, Q3, Q4, QH, QUASI = (ConditionId.Q1, ConditionId.Q2, ConditionId.Q3, Con
 Outcome = tuple[int, list[tuple[int, str]]]
 
 
-@record
-class SuiteResult:
+class SuiteResult(Record):
     suite: str
     n: int
     scanned: int
