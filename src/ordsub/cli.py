@@ -13,9 +13,12 @@ import os
 import sys
 from functools import cache
 from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
+
+if TYPE_CHECKING:
+    from .core import RawKey
 
 
 @cache
@@ -26,19 +29,19 @@ def _import_library() -> None:
     names stay: perfbench/tracer.py re-binds them to time each command's
     library calls apart from its own.
     """
-    global json, ConditionId, classify, OrderedCodomain, RawKey, SetFunction, _clip, cut_function
+    global json, ConditionId, classify, OrderedCodomain, SetFunction, _clip, cut_function
     global modular_plus_concave, parse_predicate, random_function, search_witness, check_qh, family_chain
     global levels, chain_to_json, load_set_function, set_function_to_json, argmin, certify_global_min
-    global constrained_minimize, interval_descent, SUITE_NAMES, run_suite
+    global constrained_minimize, interval_descent, run_suite
     import json
 
     from .conditions import ConditionId, classify
-    from .core import OrderedCodomain, RawKey, SetFunction, _clip
+    from .core import OrderedCodomain, SetFunction, _clip
     from .generators import cut_function, modular_plus_concave, parse_predicate, random_function, search_witness
     from .hierarchy import check_qh, family_chain, levels
     from .io import chain_to_json, load_set_function, set_function_to_json
     from .minimize import argmin, certify_global_min, constrained_minimize, interval_descent
-    from .verify import SUITE_NAMES, run_suite
+    from .verify import run_suite
 
 
 def _emit(args: argparse.Namespace, command: str, inputs: dict, results: dict, status: int, human: list[str]) -> int:
