@@ -324,7 +324,7 @@ def test_c12_hierarchy_round_trip():
            ok and accepted >= 100, f"{accepted} accepted of {tried} sampled")
 
 
-def test_c13_cli_determinism_across_threads(tmp_path, monkeypatch):
+def test_c13_cli_outputs_repeat_their_pinned_digests(tmp_path, monkeypatch):
     # SHA-256 prefixes of each output, pinned from the numpy block scan that
     # the row scan replaced; every command runs twice
     monkeypatch.chdir(tmp_path)

@@ -171,7 +171,7 @@ class TestCheckCondition:
         runs = [check_condition(f_r3, ConditionId.Q3) for _ in range(3)]
         assert all(w == runs[0] for w in runs)
 
-    def test_threads_identical(self, f_r3, f_q1nq2):
+    def test_first_witnesses_match_the_pinned_pairs(self, f_r3, f_q1nq2):
         # (X, Y, reported condition) for Q1..Q4, Qh and QuasiSubmodular, pinned
         # from the numpy block scan that the row scan replaced
         fs = (f_r3, f_q1nq2, random_function(6, distinct_values=4, seed=5))
@@ -351,7 +351,7 @@ class TestClassify:
         r = classify(f_r3)
         assert set(r.witnesses) == {c for c, v in r.flags.items() if v is False}
 
-    def test_threads_identical(self, f_r3):
+    def test_failed_conditions_match_the_pinned_witnesses(self, f_r3):
         # the failed conditions and their witnesses, pinned from the numpy
         # block scan that the row scan replaced; every other flag is True
         fs = (f_r3, random_function(6, distinct_values=4, seed=5))
@@ -742,7 +742,7 @@ class TestKernelParity:
                         want.append((p[:2], cond))
                 assert [((w.x, w.y), w.condition) for w in iter_witnesses(f, cond)] == want
 
-    def test_exact_ints_overflow_falls_back_to_python_ints(self):
+    def test_exact_ints_scale_to_integers_from_zero(self):
         # scaled by the LCM of the denominators, then shifted to start at 0;
         # Python ints have no overflow to fall back from
         assert _exact_ints([Fraction(1, 3), Fraction(1, 2), 2]) == [0, 1, 10]
